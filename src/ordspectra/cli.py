@@ -249,8 +249,12 @@ def _run_oracle(args, store: DataStore) -> list[dict]:
         lines.append(f"classnum {label} {n} {q} {k}")
     else:
         lines.append(f"# class number {k} (no classnum label for {kind})")
+    text = "\n".join(lines) + "\n"
+    if args.out == "-":
+        sys.stdout.write(text)  # the dump alone, so it loads as a data file
+        return []
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text)
     return [{"written": args.out, "order": group.order, "classes": k}]
 
 
@@ -324,7 +328,7 @@ def build_parser() -> _Parser:
     orc_sub = orc.add_subparsers(dest="oracle_cmd", required=True, parser_class=_Parser)
     dump = orc_sub.add_parser("dump")
     dump.add_argument("--group", required=True, help="KIND:N:Q, e.g. PSL:2:5")
-    dump.add_argument("--out", required=True)
+    dump.add_argument("--out", required=True, help="file to write, or - for stdout")
 
     dat = sub.add_parser("data")
     dat_sub = dat.add_subparsers(dest="data_cmd", required=True, parser_class=_Parser)

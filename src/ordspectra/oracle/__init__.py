@@ -53,7 +53,7 @@ def build_symmetric(n: int) -> SmallGroup:
     gens = [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
     if n == 1:
         gens = [tuple(range(1))]
-    elements, _ = close_under_products(gens, n)
+    _, elements, _ = close_under_products(gens, n)
     g = SmallGroup(degree=n, gens=gens, elements=elements)
     g.meta = {"kind": "Sym", "n": n}
     return g
@@ -68,7 +68,7 @@ def build_alternating(n: int) -> SmallGroup:
             img = list(range(n))
             img[i], img[i + 1], img[i + 2] = img[i + 1], img[i + 2], img[i]
             gens.append(tuple(img))
-    elements, _ = close_under_products(gens, max(n, 1))
+    _, elements, _ = close_under_products(gens, max(n, 1))
     g = SmallGroup(degree=max(n, 1), gens=gens, elements=elements)
     g.meta = {"kind": "Alt", "n": n}
     return g
@@ -76,7 +76,7 @@ def build_alternating(n: int) -> SmallGroup:
 
 def build_cyclic(n: int) -> SmallGroup:
     gens = [tuple(list(range(1, n)) + [0])]
-    elements, _ = close_under_products(gens, n)
+    _, elements, _ = close_under_products(gens, n)
     g = SmallGroup(degree=n, gens=gens, elements=elements)
     g.meta = {"kind": "Cyclic", "n": n}
     return g

@@ -21,6 +21,7 @@ from .groups import (
     Matrix,
     Perm,
     SmallGroup,
+    close_under_products,
     mat_apply,
     mat_inverse,
     mat_transpose,
@@ -125,18 +126,9 @@ def nr_aut_orbits_from_maps(G: SmallGroup, outer_maps: list[AutoMap]) -> int:
 
 
 def _generating_sequence(G: SmallGroup) -> list[Perm]:
-    from .groups import close_under_products
-
-    identity = tuple(range(G.degree))
-    gens: list[Perm] = []
-    closure = {identity}
-    for e in sorted(G.elements):
-        if e not in closure:
-            gens.append(e)
-            closure, _ = close_under_products(gens, G.degree)
-            if len(closure) == G.order:
-                break
-    return gens
+    """The elements, in sorted order, that are not in the group generated
+    by the ones before them."""
+    return close_under_products(sorted(G.elements), G.degree)[0]
 
 
 def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):

@@ -206,10 +206,14 @@ def _unitary_root_elements(F: Fq, n: int, half: int) -> list[Matrix]:
     return gens
 
 
-def orthogonal_group_gens(F: Fq, n: int, sign: int,
-                          max_vectors: int = 14) -> list[Matrix]:
+def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
     """Generators of the full orthogonal group: reflections (q odd) or
-    orthogonal transvections (q even) along non-singular vectors."""
+    orthogonal transvections (q even) along the non-singular vectors, one
+    per projective point.  They generate it except for O+_4(2), where
+    they give a subgroup of index 2; so for plus type and n >= 4 the
+    isometry swapping the hyperbolic pairs (e_0, e_{n-1}) and (e_1,
+    e_{n-2}) comes last (the closure skips it wherever it is
+    redundant)."""
     terms = quadratic_coeffs(F, n, sign)
 
     def polar(x, y):
@@ -220,7 +224,7 @@ def orthogonal_group_gens(F: Fq, n: int, sign: int,
         )
 
     gens = []
-    for v in all_vectors(F, n):
+    for v in projective_points(F, n):
         qv = quadratic_value(F, terms, v)
         if qv == 0:
             continue
@@ -234,8 +238,12 @@ def orthogonal_group_gens(F: Fq, n: int, sign: int,
             else:
                 cols.append([F.sub(basis[k], F.mul[coeff][v[k]]) for k in range(n)])
         gens.append(_cols_to_matrix(cols, n))
-        if len(gens) >= max_vectors:
-            break
+    if sign == 1 and n >= 4:
+        images = list(range(n))
+        images[0], images[1] = 1, 0
+        images[n - 1], images[n - 2] = n - 2, n - 1
+        gens.append(_cols_to_matrix(
+            [[1 if k == images[i] else 0 for k in range(n)] for i in range(n)], n))
     return gens
 
 
@@ -248,7 +256,11 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
     """Construct the named group as an explicit permutation group.
 
     Projective kinds act on projective points; the others act on the
-    nonzero vectors of the natural module.  Raises CapExceeded when the
+    nonzero vectors of the natural module.  The recipe of the kind is
+    closed once (``close_under_products``), keeping only the generators
+    it needs; SO, Omega and POmega are cut out of the one closure of the
+    full orthogonal group.  Matrix witnesses are kept for PSL and on
+    request (not for orthogonal kinds).  Raises CapExceeded when the
     order polynomial exceeds ``cap``; raises DomainError if the closure
     does not reach the expected order (a construction bug, never a
     silent approximation).
@@ -260,62 +272,7 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
         raise CapExceeded(target, cap)
     F = _field_for(kind, q)
     projective = kind in ("PSL", "PSU", "PSp", "POmegaplus", "POmegaminus")
-    lower = kind.lower()
-
-    orthogonal = kind in (
-        "GO", "SO", "Omega", "GOplus", "GOminus", "SOplus", "SOminus",
-        "Omegaplus", "Omegaminus", "POmegaplus", "POmegaminus",
-    )
-
     points = projective_points(F, n) if projective else all_vectors(F, n)
-
-    if kind in ("GL", "SL", "PSL"):
-        mats = _gl_gens(F, n, special=kind != "GL")
-        perm_gens = matrices_to_perms(F, n, mats, points, projective)
-    elif kind in ("GU", "SU", "PSU"):
-        mats = _unitary_gens(F, n, special=kind != "GU")
-        perm_gens = matrices_to_perms(F, n, mats, points, projective)
-    elif kind in ("Sp", "PSp"):
-        if n % 2:
-            raise DomainError("symplectic groups need even dimension")
-        mats = _sp_gens(F, n)
-        perm_gens = matrices_to_perms(F, n, mats, points, projective)
-    elif orthogonal:
-        if n % 2 == 1:
-            if q % 2 == 0:
-                raise DomainError(
-                    "odd-dimensional orthogonal groups over even q coincide "
-                    "with Sp; build that instead"
-                )
-            sign = 0
-            go_kind = "GO"
-        else:
-            if kind in ("GO", "SO", "Omega"):
-                raise DomainError("even dimension needs a plus/minus kind")
-            sign = 1 if "plus" in lower else -1
-            go_kind = "GOplus" if sign == 1 else "GOminus"
-        go_target = expected_order(go_kind, n, q)
-        if projective and q % 2 == 1:
-            go_target //= 2  # the projective action kills {+I, -I}
-        # reflections along an arbitrary prefix of the non-singular vectors
-        # may generate a proper subgroup; grow the prefix until the full
-        # orthogonal group is reached
-        perm_gens = None
-        for max_vectors in (14, 60, len(points) + 1):
-            mats = orthogonal_group_gens(F, n, sign, max_vectors)
-            candidate = matrices_to_perms(F, n, mats, points, projective)
-            elements, _ = close_under_products(candidate, len(points),
-                                               limit=2 * go_target)
-            if len(elements) == go_target:
-                perm_gens = candidate
-                break
-        if perm_gens is None:
-            raise DomainError(
-                f"reflections failed to generate the orthogonal group "
-                f"for {kind}({n},{q})"
-            )
-    else:  # pragma: no cover
-        raise DomainError(f"unhandled kind {kind!r}")
     meta = {"kind": kind, "n": n, "q": q, "field": F,
             "projective": projective, "points": points}
 
@@ -332,53 +289,62 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
             )
         return group
 
-    so_kernel_kinds = ("SO", "SOplus", "SOminus")
-    omega_kinds = ("Omega", "Omegaplus", "Omegaminus", "POmegaplus", "POmegaminus")
+    if kind in ("GL", "SL", "PSL"):
+        mats = _gl_gens(F, n, special=kind != "GL")
+    elif kind in ("GU", "SU", "PSU"):
+        mats = _unitary_gens(F, n, special=kind != "GU")
+    elif kind in ("Sp", "PSp"):
+        if n % 2:
+            raise DomainError("symplectic groups need even dimension")
+        mats = _sp_gens(F, n)
+    else:
+        mats = None  # orthogonal kinds: reflections, closed below
+    if mats is not None:
+        perm_gens = matrices_to_perms(F, n, mats, points, projective)
+        if witnesses or kind == "PSL":
+            return finish(*close_under_products(perm_gens, len(points), gen_mats=mats,
+                                                field_obj=F, n=n, limit=2 * target))
+        return finish(*close_under_products(perm_gens, len(points), limit=2 * target))
 
-    if kind in so_kernel_kinds:
+    if n % 2 == 1:
         if q % 2 == 0:
-            # det is identically 1 in characteristic 2; the index-2
-            # subgroup cut out by the Dickson invariant is Omega.
-            gen_list, elements = derived_subgroup(perm_gens, len(points),
-                                                  limit=4 * target,
-                                                  expected=target)
-            return finish(gen_list, elements, extra_meta={"parent_gens": perm_gens})
-        r0 = perm_gens[0]
-        so_gens = [perm_compose(r0, g) for g in perm_gens]
-        used, elements, _ = _close_adaptive(so_gens, len(points), target)
-        return finish(used, elements)
-
-    if kind in omega_kinds:
-        gen_list, elements = derived_subgroup(perm_gens, len(points),
-                                              limit=4 * target,
-                                              expected=target)
-        return finish(gen_list, elements, extra_meta={"parent_gens": perm_gens})
-
-    if projective and (witnesses or kind == "PSL"):
-        used, elements, wit = _close_adaptive(perm_gens, len(points), target,
-                                              mats=mats, field_obj=F, n=n)
-        return finish(used, elements, wit)
-
-    used, elements, _ = _close_adaptive(perm_gens, len(points), target)
-    return finish(used, elements)
-
-
-def _close_adaptive(perm_gens, npoints: int, target: int,
-                    mats=None, field_obj=None, n=None):
-    """Close over a growing prefix of the generators: large recipe lists
-    are usually hugely redundant, and closure cost scales with the
-    generator count."""
-    prefix = 6
-    while True:
-        used = perm_gens[:prefix]
-        used_mats = mats[:prefix] if mats is not None else None
-        elements, wit = close_under_products(
-            used, npoints, gen_mats=used_mats, field_obj=field_obj, n=n,
-            limit=2 * target,
+            raise DomainError(
+                "odd-dimensional orthogonal groups over even q coincide "
+                "with Sp; build that instead"
+            )
+        sign = 0
+        go_kind = "GO"
+    else:
+        if kind in ("GO", "SO", "Omega"):
+            raise DomainError("even dimension needs a plus/minus kind")
+        sign = 1 if "plus" in kind else -1
+        go_kind = "GOplus" if sign == 1 else "GOminus"
+    go_target = expected_order(go_kind, n, q)
+    if projective and q % 2 == 1:
+        go_target //= 2  # the projective action kills {+I, -I}
+    mats = orthogonal_group_gens(F, n, sign)
+    perm_gens = matrices_to_perms(F, n, mats, points, projective)
+    go_gens, go_elements, _ = close_under_products(perm_gens, len(points),
+                                                   limit=2 * go_target)
+    if len(go_elements) != go_target:
+        raise DomainError(
+            f"reflections failed to generate the orthogonal group "
+            f"for {kind}({n},{q})"
         )
-        if len(elements) == target or prefix >= len(perm_gens):
-            return used, elements, wit
-        prefix *= 2
+    if kind == go_kind:
+        return finish(go_gens, go_elements)
+    if kind in ("SO", "SOplus", "SOminus") and q % 2 == 1:
+        # products of two reflections: the determinant-1 subgroup
+        r0 = go_gens[0]
+        so_gens = [perm_compose(r0, g) for g in go_gens]
+        used, elements, _ = close_under_products(so_gens, len(points), limit=2 * target)
+        return finish(used, elements)
+    # Omega and POmega are derived subgroups of GO; so is SO in
+    # characteristic 2, where det is identically 1 and the index-2
+    # subgroup cut out by the Dickson invariant is Omega
+    gen_list, elements = derived_subgroup(go_gens, len(points), limit=4 * target,
+                                          expected=target)
+    return finish(gen_list, elements, extra_meta={"parent_gens": go_gens})
 
 
 def _field_for(kind: str, q: int) -> Fq:

@@ -3,8 +3,8 @@
 Groups are realized as permutation groups: a matrix group acts
 faithfully on the nonzero vectors of its natural module, and projective
 quotients act on normalized projective points (first nonzero coordinate
-scaled to 1).  Closures are plain breadth-first products, so everything
-is deterministic.
+scaled to 1).  Closures adjoin the generators one at a time by
+breadth-first products, so everything is deterministic.
 
 Fixed forms (documented so constructions are reproducible bit for bit):
 
@@ -121,10 +121,6 @@ def mat_apply(F: Fq, n: int, a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
                 acc = add[acc][mul[x][v[j]]]
         out.append(acc)
     return tuple(out)
-
-
-def mat_frobenius(F: Fq, a: Matrix) -> Matrix:
-    return tuple(F.frob[x] for x in a)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +299,49 @@ class SmallGroup:
         )
 
 
-def close_under_products(gens: list[Perm], degree: int,
-                         gen_mats=None, field_obj=None, n=None,
-                         limit: int | None = None):
-    """BFS closure; optionally track one matrix witness per permutation."""
+def close_under_products(gens, degree: int, gen_mats=None, field_obj=None,
+                         n=None, limit: int | None = None):
+    """Incremental closure: adjoin the generators (any iterable) in order,
+    skipping each one already in the group generated so far.
+
+    Returns ``(used, elements, witnesses)``: the adjoined generators, the
+    group they generate, and (when ``gen_mats`` runs parallel to
+    ``gens``) one matrix witness per permutation.  Adjoining g only
+    multiplies the old elements by g, since they are already closed
+    under the earlier generators; each new element is multiplied by
+    every generator used.
+    """
     identity = tuple(range(degree))
     elements = {identity}
     witnesses = None
     if gen_mats is not None:
         witnesses = {identity: mat_identity(n)}
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for cur in frontier:
-            for idx, g in enumerate(gens):
-                nxt = perm_compose(cur, g)
-                if nxt not in elements:
-                    elements.add(nxt)
-                    if limit is not None and len(elements) > limit:
-                        raise CapExceeded(len(elements), limit)
-                    if witnesses is not None:
-                        # perm composition "cur then g" matches gen_mat * cur_mat
-                        witnesses[nxt] = mat_mul(field_obj, n, gen_mats[idx], witnesses[cur])
-                    new_frontier.append(nxt)
-        frontier = new_frontier
-    return elements, witnesses
+        pairs = zip(gens, gen_mats)
+    else:
+        pairs = ((g, None) for g in gens)
+    used: list[tuple[Perm, Matrix | None]] = []
+    for g, g_mat in pairs:
+        if g in elements:
+            continue
+        used.append((g, g_mat))
+        frontier = list(elements)
+        step = [(g, g_mat)]
+        while frontier:
+            new_frontier = []
+            for cur in frontier:
+                for h, h_mat in step:
+                    nxt = perm_compose(cur, h)
+                    if nxt not in elements:
+                        elements.add(nxt)
+                        if limit is not None and len(elements) > limit:
+                            raise CapExceeded(len(elements), limit)
+                        if witnesses is not None:
+                            # perm composition "cur then h" matches h_mat * cur_mat
+                            witnesses[nxt] = mat_mul(field_obj, n, h_mat, witnesses[cur])
+                        new_frontier.append(nxt)
+            frontier = new_frontier
+            step = used
+    return [g for g, _ in used], elements, witnesses
 
 
 def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: bool):
@@ -349,31 +363,19 @@ def derived_subgroup(parent_gens: list[Perm], degree: int,
                      expected: int | None = None) -> tuple[list[Perm], set[Perm]]:
     """Generators and elements of the derived subgroup of <parent_gens>.
 
-    Starts from commutators of the parent generators and keeps adjoining
-    conjugates until the result is closed under conjugation by the
-    parent generators (hence equals the full derived subgroup).  When
-    ``expected`` (a known order) is reached early the loop stops, since
-    a subgroup of the derived subgroup with its full order equals it.
+    Closes over the commutators of the parent generators.  Unless that
+    reaches ``expected`` (a known order; a subgroup of the derived
+    subgroup with its full order equals it), conjugates are adjoined
+    until the result is closed under conjugation by the parent
+    generators, hence equals the full derived subgroup.
     """
-    identity = tuple(range(degree))
     inv = [perm_inverse(g) for g in parent_gens]
-    comms: list[Perm] = []
-    seen = {identity}
-    for a, ai in zip(parent_gens, inv):
-        for b, bi in zip(parent_gens, inv):
-            c = perm_compose(perm_compose(perm_compose(ai, bi), a), b)
-            if c not in seen:
-                seen.add(c)
-                comms.append(c)
-    prefix = 4
-    while True:
-        gen_list = comms[:prefix]
-        elements, _ = close_under_products(gen_list, degree, limit=limit)
-        if expected is not None and len(elements) == expected:
-            return gen_list, elements
-        if prefix >= len(comms):
-            break
-        prefix *= 2
+    comms = (perm_compose(perm_compose(perm_compose(ai, bi), a), b)
+             for a, ai in zip(parent_gens, inv)
+             for b, bi in zip(parent_gens, inv))
+    gen_list, elements, _ = close_under_products(comms, degree, limit=limit)
+    if expected is not None and len(elements) == expected:
+        return gen_list, elements
     while True:
         missing = None
         for x in gen_list:
@@ -387,4 +389,4 @@ def derived_subgroup(parent_gens: list[Perm], degree: int,
         if missing is None:
             return gen_list, elements
         gen_list.append(missing)
-        elements, _ = close_under_products(gen_list, degree, limit=limit)
+        gen_list, elements, _ = close_under_products(gen_list, degree, limit=limit)

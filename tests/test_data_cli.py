@@ -165,6 +165,20 @@ def test_cli_oracle_dump(tmp_path, capsys):
     assert store.class_numbers.lookup("PSL", 2, 5) == 5
 
 
+def test_cli_oracle_dump_to_stdout(tmp_path, monkeypatch, capsys):
+    # "--out -" is the form seed.dat documents; it must not create a file
+    # named "-" and stdout must hold the dump alone
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "oracle", "dump", "--group", "PSL:2:5",
+                           "--out", "-")
+    assert code == 0
+    assert not (tmp_path / "-").exists()
+    assert "classnum PSL 2 5 5" in out
+    store = DataStore()
+    load_lines(out.splitlines(), store)
+    assert store.class_numbers.lookup("PSL", 2, 5) == 5
+
+
 def test_cli_oord_bound(capsys):
     code, out, _ = run_cli(capsys, "lie", "oord-bound", "--family", "A",
                            "--d", "1", "--q", "7", "--level", "1")

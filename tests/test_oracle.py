@@ -2,6 +2,7 @@ import pytest
 
 from ordspectra import oracle, sym_partitions
 from ordspectra.errors import CapExceeded
+from ordspectra.oracle.groups import close_under_products, matrices_to_perms, perm_compose
 
 
 def test_symmetric_and_alternating():
@@ -39,22 +40,68 @@ def test_unitary_groups_over_f4(get_group):
 
 @pytest.mark.parametrize("kind, n, q", [
     ("GU", 2, 2), ("GU", 3, 2), ("SU", 3, 2), ("PSU", 3, 2), ("PSU", 4, 2),
+    ("GL", 3, 2), ("SL", 3, 3), ("PSL", 3, 4), ("Sp", 4, 3), ("PSp", 4, 3),
+    ("GO", 3, 3), ("GOplus", 4, 3), ("GOminus", 4, 3), ("GOplus", 4, 2),
+    ("GOminus", 4, 2), ("GOplus", 6, 2),
 ])
 def test_unitary_recipes_schreier_sims(kind, n, q):
-    """The full unitary recipe generates the group, by Schreier-Sims
+    """The full recipe of each form generates the group, by Schreier-Sims
     rather than by the oracle's own closure."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    from ordspectra.oracle.build import _field_for, _unitary_gens
-    from ordspectra.oracle.groups import all_vectors, matrices_to_perms, projective_points
+    from ordspectra.oracle.build import (_field_for, _gl_gens, _sp_gens, _unitary_gens,
+                                         orthogonal_group_gens)
+    from ordspectra.oracle.groups import all_vectors, projective_points
 
     F = _field_for(kind, q)
-    projective = kind == "PSU"
+    if kind in ("GL", "SL", "PSL"):
+        mats = _gl_gens(F, n, special=kind != "GL")
+    elif kind in ("GU", "SU", "PSU"):
+        mats = _unitary_gens(F, n, special=kind != "GU")
+    elif kind in ("Sp", "PSp"):
+        mats = _sp_gens(F, n)
+    else:
+        mats = orthogonal_group_gens(F, n, {"GO": 0, "GOplus": 1, "GOminus": -1}[kind])
+    projective = kind.startswith("P")
     points = projective_points(F, n) if projective else all_vectors(F, n)
-    mats = _unitary_gens(F, n, special=kind != "GU")
     perms = matrices_to_perms(F, n, mats, points, projective)
     group = combinatorics.PermutationGroup(
         [combinatorics.Permutation(list(p)) for p in perms])
     assert group.order() == oracle.expected_order(kind, n, q)
+
+
+@pytest.mark.parametrize("kind, n, q, classes", [
+    ("SO", 3, 3, 5),            # S4
+    ("Omega", 3, 3, 4),         # A4
+    ("Omegaminus", 4, 2, 5),    # A5
+    ("Omegaminus", 4, 3, 7),    # PSL2(9)
+    ("POmegaplus", 4, 3, 16),   # A4 x A4
+    ("SOminus", 4, 3, 14),
+    ("GOplus", 4, 2, 9),        # transvections alone give half of it
+])
+def test_orthogonal_subgroups_low_rank(get_group, kind, n, q, classes):
+    group = get_group(kind, n, q)
+    assert group.order == oracle.expected_order(kind, n, q)
+    assert group.conjugacy_class_count() == classes
+
+
+def test_closure_skips_redundant_generators():
+    swap, cycle = (1, 0, 2, 3), (1, 2, 3, 0)
+    identity = (0, 1, 2, 3)
+    gens = [identity, swap, swap, cycle, perm_compose(swap, cycle), cycle]
+    used, elements, witnesses = close_under_products(iter(gens), 4)
+    assert used == [swap, cycle]
+    assert len(elements) == 24 and witnesses is None
+    with pytest.raises(CapExceeded):
+        close_under_products(gens, 4, limit=23)
+
+
+def test_closure_witnesses_match_permutations():
+    group = oracle.build_classical("PSL", 3, 2, witnesses=True)
+    F, n, points = group.meta["field"], group.meta["n"], group.meta["points"]
+    perms = list(group.witnesses)
+    assert set(perms) == group.elements
+    mats = [group.witnesses[p] for p in perms]
+    assert matrices_to_perms(F, n, mats, points, projective=True) == perms
 
 
 def test_cap_exceeded():
