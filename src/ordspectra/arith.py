@@ -163,14 +163,6 @@ def nr_divisors(n: int) -> int:
     return result
 
 
-def nr_divisors_from_factors(factors: dict[int, int] | list[tuple[int, int]]) -> int:
-    items = factors.items() if isinstance(factors, dict) else factors
-    result = 1
-    for _, k in items:
-        result *= k + 1
-    return result
-
-
 def lcm_list(values) -> int:
     """Least common multiple of a list of positive integers; [] gives 1."""
     result = 1

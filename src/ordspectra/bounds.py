@@ -10,21 +10,24 @@ Quality levels:
   by each power of p) is not reproduced here, so level 3 raises
   OutOfScope rather than the message reserved for levels the interface
   itself rejects.
-* epsilon_q bounds take a pair of levels with a per-family allowed set.
+* epsilon_q bounds take a pair of levels, one for each of the two;
+  ``LEVELS`` holds the accepted levels and their messages per family.
 
 All divisions stay exact rationals until the final log-log step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arith, messages
 from .class_numbers import ClassNumberProvider, class_number_lower_bound
-from .errors import DomainError, NotAvailable, OutOfScope
+from .errors import DataMissing, DomainError, NotAvailable, OutOfScope
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     LieSpec,
@@ -40,31 +43,39 @@ from .torus_spectra import (
     nr_semisimple_orders_bound,
 )
 
-_OMEGA_LEVELS = {"A": (2,), "2A": (2,), "B": (1, 2), "C": (1, 2), "D": (1, 2), "2D": (1, 2)}
-_OMICRON_LEVELS = {"A": (1, 2, 3), "2A": (1, 2, 3), "B": (1, 2), "C": (1, 2),
-                   "D": (1, 2, 3), "2D": (1, 2, 3)}
-_EPSILON_Q_PAIRS = {
-    "A": ((2, 1), (2, 2), (2, 3)),
-    "2A": ((2, 1), (2, 2), (2, 3)),
-    "B": ((1, 1), (1, 2), (2, 1), (2, 2)),
-    "C": ((1, 1), (1, 2), (2, 1), (2, 2)),
-    "D": tuple((a, b) for a in (1, 2) for b in (1, 2, 3)),
-    "2D": tuple((a, b) for a in (1, 2) for b in (1, 2, 3)),
-}
-_OMEGA_MESSAGE = {"A": messages.LEVEL_ONLY_2, "2A": messages.LEVEL_ONLY_2,
-                  "B": messages.LEVEL_1_OR_2, "C": messages.LEVEL_1_OR_2,
-                  "D": messages.LEVEL_1_OR_2, "2D": messages.LEVEL_1_OR_2}
-_OMICRON_MESSAGE = {"A": messages.LEVEL_1_2_OR_3, "2A": messages.LEVEL_1_2_OR_3,
-                    "B": messages.LEVEL_1_OR_2, "C": messages.LEVEL_1_OR_2,
-                    "D": messages.LEVEL_1_2_OR_3, "2D": messages.LEVEL_1_2_OR_3}
-_EPSILON_Q_MESSAGE = {"A": messages.COMBO_A, "2A": messages.COMBO_A,
-                      "B": messages.COMBO_BC, "C": messages.COMBO_BC,
-                      "D": messages.COMBO_D, "2D": messages.COMBO_D}
 
-#: multiplier M in the count (1 + ceil(log_p M)) of p-power element orders
-_P_PART_RANGE = {"A": lambda d: d + 1, "2A": lambda d: d + 1,
-                 "B": lambda d: 2 * d, "C": lambda d: 2 * d,
-                 "D": lambda d: 2 * d - 2, "2D": lambda d: 2 * d - 2}
+@dataclass(frozen=True)
+class FamilyLevels:
+    """A classical family's accepted levels of the Aut-orbit (omega) and
+    element-order-count (omicron) bounds, the frozen message refusing
+    any other, and the multiplier M in the count (1 + ceil(log_p M)) of
+    p-power element orders.  epsilon_q takes any (omega, omicron) pair.
+    """
+
+    omega: tuple[int, ...]
+    omega_message: str
+    omicron: tuple[int, ...]
+    omicron_message: str
+    epsilon_q_message: str
+    p_part: Callable[[int], int]
+
+    @property
+    def epsilon_q(self) -> tuple[tuple[int, int], ...]:
+        return tuple(itertools.product(self.omega, self.omicron))
+
+
+#: The level table of the classical families, one row per shape.
+LEVELS = {family: row for families, row in (
+    (("A", "2A"), FamilyLevels((2,), messages.LEVEL_ONLY_2,
+                               (1, 2, 3), messages.LEVEL_1_2_OR_3,
+                               messages.COMBO_A, lambda d: d + 1)),
+    (("B", "C"), FamilyLevels((1, 2), messages.LEVEL_1_OR_2,
+                              (1, 2), messages.LEVEL_1_OR_2,
+                              messages.COMBO_BC, lambda d: 2 * d)),
+    (("D", "2D"), FamilyLevels((1, 2), messages.LEVEL_1_OR_2,
+                               (1, 2, 3), messages.LEVEL_1_2_OR_3,
+                               messages.COMBO_D, lambda d: 2 * d - 2)),
+) for family in families}
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,8 @@ def nr_aut_orbits_lower(spec: LieSpec, level: int | None = None,
     family = spec.family
     provider = provider if provider is not None else ClassNumberProvider()
     if family in CLASSICAL_FAMILIES:
-        if level not in _OMEGA_LEVELS[family]:
-            raise NotAvailable(_OMEGA_MESSAGE[family])
+        if level not in LEVELS[family].omega:
+            raise NotAvailable(LEVELS[family].omega_message)
         k_bound = class_number_lower_bound(spec, level, provider)
     else:
         if level is not None:
@@ -123,8 +134,8 @@ def nr_element_orders_upper(spec: LieSpec, level: int | None = None,
     """
     family = spec.family
     if family in CLASSICAL_FAMILIES:
-        if level not in _OMICRON_LEVELS[family]:
-            raise NotAvailable(_OMICRON_MESSAGE[family])
+        if level not in LEVELS[family].omicron:
+            raise NotAvailable(LEVELS[family].omicron_message)
         if level == 3:
             raise OutOfScope(
                 "the level-3 sharply-divisible order counts are not reproduced here"
@@ -133,7 +144,7 @@ def nr_element_orders_upper(spec: LieSpec, level: int | None = None,
             ss = nr_semisimple_orders(spec)
         else:
             ss = nr_semisimple_orders_bound(spec)
-        m = _P_PART_RANGE[family](spec.d)
+        m = LEVELS[family].p_part(spec.d)
         return ss * (1 + arith.ceil_log(spec.p, m))
     if level is not None:
         raise DomainError("exceptional families take no quality level")
@@ -150,8 +161,8 @@ def epsilon_q_lower(spec: LieSpec, levels: tuple[int, int] | None = None,
     quotient held as an exact rational until the logs."""
     family = spec.family
     if family in CLASSICAL_FAMILIES:
-        if levels is None or tuple(levels) not in _EPSILON_Q_PAIRS[family]:
-            raise NotAvailable(_EPSILON_Q_MESSAGE[family])
+        if levels is None or tuple(levels) not in LEVELS[family].epsilon_q:
+            raise NotAvailable(LEVELS[family].epsilon_q_message)
         l1, l2 = levels
         omega = nr_aut_orbits_lower(spec, l1, provider)
         omicron = nr_element_orders_upper(spec, l2, spectra)
@@ -192,19 +203,15 @@ def epsilon_q_fixed_small_q(family: str, d: int, constants: dict,
         warnings.warn(f"d = {d} is outside the intended range 54..90")
     q_fixed = 4 if family in ("2A", "2D") else 2
     const_name = f"oss_{family}_90_{q_fixed}"
-    from .errors import DataMissing
-
     if const_name not in constants:
         raise DataMissing(f"constant {const_name}")
     oss_90 = int(constants[const_name])
     spec = make_spec(family, d, q_fixed)
     if family == "A":
         numerator: int | Fraction = 2 ** (d - 1)
-        log_count = 1 + arith.ceil_log(2, d + 1)
     elif family == "2A":
         numerator = Fraction(2**d, 2 * math.gcd(d + 1, 3) ** 2)
-        log_count = 1 + arith.ceil_log(2, d + 1)
     else:
         numerator = nr_aut_orbits_lower(spec, 2, provider)
-        log_count = 1 + arith.ceil_log(2, _P_PART_RANGE[family](d))
+    log_count = 1 + arith.ceil_log(2, LEVELS[family].p_part(d))
     return _epsilon_q_from_parts(numerator, oss_90 * log_count, group_order(spec))

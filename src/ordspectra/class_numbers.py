@@ -54,9 +54,6 @@ class ClassNumberProvider:
             raise DataMissing(f"classnum {label} {a} {b}")
         return got
 
-    def known_keys(self):
-        return sorted(self._store)
-
 
 def k_omega(provider: ClassNumberProvider, sign: int, n: int, q: int) -> int:
     """k(Omega^sign_n(q)) from a direct entry or from sum/difference

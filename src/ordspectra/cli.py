@@ -20,11 +20,9 @@ from .data import DataStore, default_store, load_data
 from .errors import (
     DataMissing,
     DomainError,
-    DuplicateKey,
     NotAvailable,
     OrdspectraError,
     OutOfScope,
-    ParseError,
 )
 from .lie_catalog import (
     EXCEPTIONAL_RANK,
@@ -357,16 +355,13 @@ def main(argv=None) -> int:
             rows = _run_data(args, store)
         _emit(rows, args)
         return EXIT_OK
-    except NotAvailable as exc:
-        print(exc.message, file=sys.stderr)
-        return EXIT_AVAILABILITY
-    except OutOfScope as exc:
+    except (NotAvailable, OutOfScope) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_AVAILABILITY
     except DataMissing as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA_MISSING
-    except (ParseError, DuplicateKey, DomainError, OrdspectraError) as exc:
+    except OrdspectraError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_GENERIC
 

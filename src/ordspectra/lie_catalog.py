@@ -159,13 +159,6 @@ def make_spec(family: str, d: int | None = None, Q: int | None = None) -> LieSpe
 # group orders
 
 
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
 def group_order(spec: LieSpec) -> int:
     """Order of the (possibly non-simple at flagged points) group named
     by the spec, via the standard order polynomials."""
@@ -175,34 +168,34 @@ def group_order(spec: LieSpec) -> int:
         n = d + 1
         return (
             q ** (d * (d + 1) // 2)
-            * _prod(q**i - 1 for i in range(2, n + 1))
+            * math.prod(q**i - 1 for i in range(2, n + 1))
             // math.gcd(n, q - 1)
         )
     if family == "2A":
         n = d + 1
         return (
             q ** (d * (d + 1) // 2)
-            * _prod(q**i - (-1) ** i for i in range(2, n + 1))
+            * math.prod(q**i - (-1) ** i for i in range(2, n + 1))
             // math.gcd(n, q + 1)
         )
     if family in ("B", "C"):
         return (
             q ** (d * d)
-            * _prod(q ** (2 * i) - 1 for i in range(1, d + 1))
+            * math.prod(q ** (2 * i) - 1 for i in range(1, d + 1))
             // math.gcd(2, q - 1)
         )
     if family == "D":
         return (
             q ** (d * (d - 1))
             * (q**d - 1)
-            * _prod(q ** (2 * i) - 1 for i in range(1, d))
+            * math.prod(q ** (2 * i) - 1 for i in range(1, d))
             // math.gcd(4, q**d - 1)
         )
     if family == "2D":
         return (
             q ** (d * (d - 1))
             * (q**d + 1)
-            * _prod(q ** (2 * i) - 1 for i in range(1, d))
+            * math.prod(q ** (2 * i) - 1 for i in range(1, d))
             // math.gcd(4, q**d + 1)
         )
     if family == "2B2":
@@ -214,13 +207,13 @@ def group_order(spec: LieSpec) -> int:
     if family == "3D4":
         return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
     if family == "F4":
-        return q**24 * _prod(q**i - 1 for i in (12, 8, 6, 2))
+        return q**24 * math.prod(q**i - 1 for i in (12, 8, 6, 2))
     if family == "2F4":
         return Q**12 * (Q**6 + 1) * (Q**4 - 1) * (Q**3 + 1) * (Q - 1)
     if family == "E6":
         return (
             q**36
-            * _prod(q**i - 1 for i in (12, 9, 8, 6, 5, 2))
+            * math.prod(q**i - 1 for i in (12, 9, 8, 6, 5, 2))
             // math.gcd(3, q - 1)
         )
     if family == "2E6":
@@ -233,11 +226,11 @@ def group_order(spec: LieSpec) -> int:
     if family == "E7":
         return (
             q**63
-            * _prod(q**i - 1 for i in (18, 14, 12, 10, 8, 6, 2))
+            * math.prod(q**i - 1 for i in (18, 14, 12, 10, 8, 6, 2))
             // math.gcd(2, q - 1)
         )
     if family == "E8":
-        return q**120 * _prod(q**i - 1 for i in (30, 24, 20, 18, 14, 12, 8, 2))
+        return q**120 * math.prod(q**i - 1 for i in (30, 24, 20, 18, 14, 12, 8, 2))
     raise DomainError(f"unknown family {family!r}")
 
 

@@ -39,37 +39,30 @@ KINDS = (
 )
 
 
-def _prod(vals) -> int:
-    out = 1
-    for v in vals:
-        out *= v
-    return out
-
-
 def expected_order(kind: str, n: int, q: int) -> int:
     """Order polynomial of the requested group (q is the base parameter;
     unitary kinds are matrix groups over F(q**2))."""
     if kind == "GL":
-        return _prod(q**n - q**i for i in range(n))
+        return math.prod(q**n - q**i for i in range(n))
     if kind == "SL":
         return expected_order("GL", n, q) // (q - 1)
     if kind == "PSL":
         return expected_order("SL", n, q) // math.gcd(n, q - 1)
     if kind == "GU":
-        return q ** (n * (n - 1) // 2) * _prod(q**i - (-1) ** i for i in range(1, n + 1))
+        return q ** (n * (n - 1) // 2) * math.prod(q**i - (-1) ** i for i in range(1, n + 1))
     if kind == "SU":
         return expected_order("GU", n, q) // (q + 1)
     if kind == "PSU":
         return expected_order("SU", n, q) // math.gcd(n, q + 1)
     if kind in ("Sp", "PSp"):
         m = n // 2
-        sp = q ** (m * m) * _prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+        sp = q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
         return sp if kind == "Sp" else sp // math.gcd(2, q - 1)
     if kind in ("GO", "SO", "Omega"):
         if n % 2 == 0:
             raise DomainError("even dimension needs a plus/minus kind")
         m = n // 2
-        so = q ** (m * m) * _prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+        so = q ** (m * m) * math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
         if kind == "GO":
             return 2 * so
         if kind == "SO":
@@ -78,7 +71,7 @@ def expected_order(kind: str, n: int, q: int) -> int:
     sign = 1 if kind.endswith("plus") else -1
     base = kind[: -4 if sign == 1 else -5]
     m = n // 2
-    go = 2 * q ** (m * (m - 1)) * (q**m - sign) * _prod(
+    go = 2 * q ** (m * (m - 1)) * (q**m - sign) * math.prod(
         q ** (2 * i) - 1 for i in range(1, m)
     )
     if base == "GO":

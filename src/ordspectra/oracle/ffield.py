@@ -117,7 +117,6 @@ class Fq:
 
     def _find_generator(self) -> int:
         for g in range(2, self.q):
-            seen = 1
             x = g
             count = 1
             while x != 1:

@@ -18,8 +18,9 @@ import mpmath
 
 from . import arith, bounds
 from .class_numbers import ClassNumberProvider
-from .errors import DataMissing, DomainError, NotAvailable, PrecisionError
-from .lie_catalog import EXCEPTIONAL_RANK, LieSpec, make_spec
+from .errors import (DataMissing, DomainError, NotAvailable, OrdspectraError,
+                     PrecisionError)
+from .lie_catalog import CLASSICAL_FAMILIES, EXCEPTIONAL_RANK, TWIST, LieSpec, make_spec
 from .sym_partitions import g2
 from .torus_spectra import SpectrumProvider
 from . import messages
@@ -249,37 +250,65 @@ def prime_powers_below(limit: int) -> list[int]:
     return [m for m in range(2, limit) if arith.prime_power_split(m) is not None]
 
 
-def _valid_Q_values(family: str, q0: int) -> list[tuple[int, int]]:
-    """(q-ish base, Q) pairs for the family with base below q0."""
-    out = []
+def _valid_Q_values(family: str, q0: int) -> list[int]:
+    """The field parameters Q of an exceptional family below q0: the odd
+    powers p^3, p^5, ... below q0 for the Suzuki/Ree families, else
+    q^t for each prime power q below q0."""
     if family in ("2B2", "2F4", "2G2"):
         p = 3 if family == "2G2" else 2
-        e = 3
-        while True:
-            Q = p**e
-            if Q >= q0:
-                break
-            out.append((Q, Q))
-            e += 2
+        out, Q = [], p**3
+        while Q < q0:
+            out.append(Q)
+            Q *= p * p
         return out
-    t = {"2E6": 2, "3D4": 3}.get(family, 1)
-    for q in prime_powers_below(q0):
-        out.append((q, q**t))
-    return out
+    return [q ** TWIST[family] for q in prime_powers_below(q0)]
+
+
+def _specs(q0: Q0Table, kinds):
+    """The groups named by the q0 rows whose keys are of type ``kinds``
+    (int: a classical rank, str: an exceptional family), leaving out the
+    flagged (non-simple) parameter points."""
+    for key, cutoff in sorted(q0.rows.items(), key=str):
+        if not isinstance(key, kinds):
+            continue
+        if isinstance(key, int):
+            points = [(family, key, q ** TWIST[family])
+                      for q in prime_powers_below(cutoff)
+                      for family in CLASSICAL_FAMILIES
+                      if key >= 2 or family not in ("D", "2D")]
+        else:
+            points = [(key, None, Q) for Q in _valid_Q_values(key, cutoff)]
+        for family, d, Q in points:
+            spec = make_spec(family, d, Q)
+            if not spec.warning:
+                yield spec
+
+
+def _search(q0: Q0Table, kinds, threshold: float, best) -> list[ExceptionCandidate]:
+    """Keep every group whose best bound ``best(spec) -> (value, how)``
+    is missing or does not exceed ``threshold``."""
+    out = []
+    for spec in _specs(q0, kinds):
+        value, how = best(spec)
+        if value is None or value <= threshold:
+            out.append(ExceptionCandidate(
+                spec.family, spec.d, spec.Q, value,
+                how if value is not None else f"unavailable: {how}"))
+    return sorted(out, key=ExceptionCandidate.sort_key)
 
 
 def _best_epsilon_omega(spec: LieSpec, provider: ClassNumberProvider):
     """Best available epsilon_omega lower bound: data-backed levels first,
     then the data-free uniform expressions."""
+    if spec.family in EXCEPTIONAL_RANK:
+        return None, "no data"
     for level in (2, 1):
-        if spec.family in ("A", "2A") and level == 1:
+        if level not in bounds.LEVELS[spec.family].omega:
             continue
         try:
             return bounds.epsilon_omega_lower(spec, level, provider).value, f"level {level}"
         except (DataMissing, NotAvailable, DomainError):
             continue
-    if spec.family in EXCEPTIONAL_RANK:
-        return None, "no data"
     if spec.d < 3:
         return None, "no data-free bound below rank 3"
     if spec.q == 2:
@@ -306,42 +335,17 @@ def exceptions_omega(q0: Q0Table, thresholds: ThresholdConfig,
         missing = [d for d in range(3, 19) if q0.get(d) is None]
         if missing:
             raise DataMissing(f"q0 rows for ranks {missing}")
-    out = []
-    for key, cutoff in sorted(q0.rows.items(), key=str):
-        if isinstance(key, int):
-            for q in prime_powers_below(cutoff):
-                for family in ("A", "2A", "B", "C", "D", "2D"):
-                    if family in ("D", "2D") and key < 2:
-                        continue
-                    t = 2 if family in ("2A", "2D") else 1
-                    spec = make_spec(family, key, q**t)
-                    if spec.warning:
-                        continue
-                    value, how = _best_epsilon_omega(spec, provider)
-                    if value is None or value <= thresholds.epsilon_omega_alt5:
-                        out.append(ExceptionCandidate(
-                            family, key, q**t, value,
-                            how if value is not None else f"unavailable: {how}"))
-        else:
-            for _, Q in _valid_Q_values(key, cutoff):
-                spec = make_spec(key, None, Q)
-                if spec.warning:
-                    continue
-                value, how = _best_epsilon_omega(spec, provider)
-                if value is None or value <= thresholds.epsilon_omega_alt5:
-                    out.append(ExceptionCandidate(
-                        key, spec.d, Q, value,
-                        how if value is not None else f"unavailable: {how}"))
-    return sorted(out, key=ExceptionCandidate.sort_key)
+    return _search(q0, (int, str), thresholds.epsilon_omega_alt5,
+                   lambda spec: _best_epsilon_omega(spec, provider))
 
 
 def _best_epsilon_q_classical(spec: LieSpec, provider, spectra):
     for pair in ((2, 2), (2, 1), (1, 1)):
-        if pair not in bounds._EPSILON_Q_PAIRS.get(spec.family, ()):
+        if pair not in bounds.LEVELS[spec.family].epsilon_q:
             continue
         try:
             return bounds.epsilon_q_lower(spec, pair, provider, spectra).value, f"levels {pair}"
-        except Exception:
+        except OrdspectraError:
             continue
     if spec.q is not None:
         value = epsilon_q_classical2(spec.d, spec.q)
@@ -357,22 +361,15 @@ def exceptions_q_classical(q0: Q0Table, thresholds: ThresholdConfig,
     """Classical candidates whose epsilon_q bound fails to exceed the
     Monster threshold; containment contract as for exceptions_omega."""
     provider = provider if provider is not None else ClassNumberProvider()
-    out = []
-    for key, cutoff in sorted((k, v) for k, v in q0.rows.items() if isinstance(k, int)):
-        for q in prime_powers_below(cutoff):
-            for family in ("A", "2A", "B", "C", "D", "2D"):
-                t = 2 if family in ("2A", "2D") else 1
-                if family in ("D", "2D") and key < 2:
-                    continue
-                spec = make_spec(family, key, q**t)
-                if spec.warning:
-                    continue
-                value, how = _best_epsilon_q_classical(spec, provider, spectra)
-                if value is None or value <= thresholds.epsilon_q_monster:
-                    out.append(ExceptionCandidate(
-                        family, key, q**t, value,
-                        how if value is not None else f"unavailable: {how}"))
-    return sorted(out, key=ExceptionCandidate.sort_key)
+    return _search(q0, int, thresholds.epsilon_q_monster,
+                   lambda spec: _best_epsilon_q_classical(spec, provider, spectra))
+
+
+def _best_epsilon_q_exceptional(spec: LieSpec, provider, spectra):
+    try:
+        return bounds.epsilon_q_lower(spec, None, provider, spectra).value, "exact ingredients"
+    except OrdspectraError as exc:
+        return None, type(exc).__name__
 
 
 def exceptions_q_exceptional(q0: Q0Table, thresholds: ThresholdConfig,
@@ -381,18 +378,5 @@ def exceptions_q_exceptional(q0: Q0Table, thresholds: ThresholdConfig,
                              ) -> list[ExceptionCandidate]:
     """Exceptional-family candidates for the Monster epsilon_q threshold."""
     provider = provider if provider is not None else ClassNumberProvider()
-    out = []
-    for key, cutoff in sorted((k, v) for k, v in q0.rows.items()
-                              if isinstance(k, str)):
-        for _, Q in _valid_Q_values(key, cutoff):
-            spec = make_spec(key, None, Q)
-            if spec.warning:
-                continue
-            try:
-                value = bounds.epsilon_q_lower(spec, None, provider, spectra).value
-                how = "exact ingredients"
-            except Exception as exc:
-                value, how = None, f"unavailable: {type(exc).__name__}"
-            if value is None or value <= thresholds.epsilon_q_monster:
-                out.append(ExceptionCandidate(key, spec.d, Q, value, how))
-    return sorted(out, key=ExceptionCandidate.sort_key)
+    return _search(q0, str, thresholds.epsilon_q_monster,
+                   lambda spec: _best_epsilon_q_exceptional(spec, provider, spectra))

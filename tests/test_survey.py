@@ -1,7 +1,7 @@
 import mpmath
 import pytest
 
-from ordspectra import survey
+from ordspectra import bounds, survey
 from ordspectra.class_numbers import ClassNumberProvider
 from ordspectra.errors import DataMissing, DomainError, NotAvailable
 from ordspectra.survey import (
@@ -196,3 +196,93 @@ def test_exceptions_exceptional_includes_unavailable():
                                             ClassNumberProvider(), None)
     assert [(c.family, c.Q) for c in found] == [("G2", 3)]
     assert found[0].bound is None
+
+
+# The exact output of the three searches on a small table whose 48
+# candidates are kept for 11 different reasons.
+_GOLDEN_TABLE = {1: 8, 3: 4, 12: 3, "G2": 5, "2B2": 128, "E8": 3}
+_GOLDEN_OMEGA = [
+    ('2A', 3, 9, 'unavailable: uniform bound undefined', None),
+    ('2A', 12, 4, 'uniform', 0.05571134062272922),
+    ('2B2', 2, 8, 'unavailable: no data', None),
+    ('2B2', 2, 32, 'unavailable: no data', None),
+    ('2D', 3, 4, 'level 1', 0.1408676779951559),
+    ('2D', 3, 9, 'unavailable: uniform bound undefined', None),
+    ('A', 1, 4, 'level 2', 0.06671919989520235),
+    ('A', 1, 5, 'level 2', 0.06671919989520235),
+    ('A', 1, 7, 'level 2', 0.05755933384305439),
+    ('A', 3, 3, 'unavailable: uniform bound undefined', None),
+    ('A', 12, 2, 'uniform', 0.05571134062272922),
+    ('B', 1, 4, 'unavailable: no data-free bound below rank 3', None),
+    ('B', 1, 5, 'unavailable: no data-free bound below rank 3', None),
+    ('B', 1, 7, 'unavailable: no data-free bound below rank 3', None),
+    ('B', 3, 3, 'level 1', 0.21460145679488615),
+    ('C', 1, 4, 'unavailable: no data-free bound below rank 3', None),
+    ('C', 1, 5, 'unavailable: no data-free bound below rank 3', None),
+    ('C', 1, 7, 'unavailable: no data-free bound below rank 3', None),
+    ('C', 3, 3, 'level 1', 0.21460145679488615),
+    ('D', 3, 2, 'level 1', 0.14240550578334446),
+    ('D', 3, 3, 'unavailable: uniform bound undefined', None),
+    ('E8', 8, 2, 'unavailable: no data', None),
+    ('G2', 2, 3, 'unavailable: no data', None),
+    ('G2', 2, 4, 'unavailable: no data', None),
+]
+_GOLDEN_Q_CLASSICAL = [
+    ('2A', 3, 9, 'unavailable: no bound evaluable', None),
+    ('2A', 12, 4, 'unavailable: no bound evaluable', None),
+    ('2D', 3, 4, 'levels (1, 1)', 0.055835234412349756),
+    ('2D', 3, 9, 'levels (1, 1)', 0.037377456814951006),
+    ('2D', 12, 4, 'levels (1, 1)', 0.022919609476371502),
+    ('A', 3, 2, 'levels (2, 2)', 0.09490531385166724),
+    ('A', 3, 3, 'unavailable: no bound evaluable', None),
+    ('A', 12, 2, 'unavailable: no bound evaluable', None),
+    ('B', 1, 7, 'levels (1, 1)', 0.09249642913060475),
+    ('B', 3, 2, 'levels (1, 1)', 0.04556563558400426),
+    ('B', 3, 3, 'levels (1, 1)', 0.036702200677591564),
+    ('B', 12, 2, 'levels (1, 1)', 0.022547002219443005),
+    ('C', 1, 7, 'levels (1, 1)', 0.09249642913060475),
+    ('C', 3, 2, 'levels (1, 1)', 0.04556563558400426),
+    ('C', 3, 3, 'levels (1, 1)', 0.036702200677591564),
+    ('C', 12, 2, 'levels (1, 1)', 0.022547002219443005),
+    ('D', 3, 2, 'levels (1, 1)', 0.05644477789500932),
+    ('D', 3, 3, 'levels (1, 1)', 0.0384946886839012),
+    ('D', 12, 2, 'levels (1, 1)', 0.022891743723586117),
+]
+_GOLDEN_Q_EXCEPTIONAL = [
+    ('2B2', 2, 8, 'exact ingredients', 0.112360093495892),
+    ('2B2', 2, 32, 'unavailable: DataMissing', None),
+    ('E8', 8, 2, 'unavailable: DataMissing', None),
+    ('G2', 2, 3, 'unavailable: DataMissing', None),
+    ('G2', 2, 4, 'unavailable: DataMissing', None),
+]
+
+
+def _as_tuples(found):
+    return [(c.family, c.d, c.Q, c.reason, c.bound) for c in found]
+
+
+def test_exceptions_golden(store):
+    thresholds = make_thresholds(monster_constants())
+    table = Q0Table(rows=_GOLDEN_TABLE)
+    assert _as_tuples(survey.exceptions_omega(
+        table, thresholds, store.class_numbers)) == _GOLDEN_OMEGA
+    assert _as_tuples(survey.exceptions_q_classical(
+        table, thresholds, store.class_numbers, store.spectra)) == _GOLDEN_Q_CLASSICAL
+    assert _as_tuples(survey.exceptions_q_exceptional(
+        table, thresholds, store.class_numbers, store.spectra)) == _GOLDEN_Q_EXCEPTIONAL
+
+
+def test_epsilon_q_searches_propagate_programming_errors(store, monkeypatch):
+    """Only OrdspectraError marks a candidate unavailable; any other
+    exception is a bug and must not be kept as a candidate."""
+    def broken(*args, **kwargs):
+        raise TypeError("broken bound")
+
+    monkeypatch.setattr(bounds, "epsilon_q_lower", broken)
+    thresholds = make_thresholds(monster_constants())
+    with pytest.raises(TypeError):
+        survey.exceptions_q_classical(Q0Table(rows={3: 3}), thresholds,
+                                      store.class_numbers, store.spectra)
+    with pytest.raises(TypeError):
+        survey.exceptions_q_exceptional(Q0Table(rows={"2B2": 9}), thresholds,
+                                        store.class_numbers, store.spectra)
