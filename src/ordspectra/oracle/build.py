@@ -252,7 +252,8 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
     nonzero vectors of the natural module.  The recipe of the kind is
     closed once (``close_under_products``), keeping only the generators
     it needs; SO, Omega and POmega are cut out of the one closure of the
-    full orthogonal group.  Matrix witnesses are kept for PSL and on
+    full orthogonal group (for q even as the kernel of the Dickson
+    invariant).  Matrix witnesses are kept for PSL and on
     request (not for orthogonal kinds).  Raises CapExceeded when the
     order polynomial exceeds ``cap``; raises DomainError if the closure
     does not reach the expected order (a construction bug, never a
@@ -332,12 +333,52 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
         so_gens = [perm_compose(r0, g) for g in go_gens]
         used, elements, _ = close_under_products(so_gens, len(points), limit=2 * target)
         return finish(used, elements)
-    # Omega and POmega are derived subgroups of GO; so is SO in
-    # characteristic 2, where det is identically 1 and the index-2
-    # subgroup cut out by the Dickson invariant is Omega
+    if q % 2 == 0:
+        # det is identically 1 and the centre is trivial, so SO = Omega =
+        # POmega: the kernel of the Dickson invariant, which is not always
+        # the derived subgroup (Omega+_4(2) = S3 x S3 is not perfect)
+        used, elements = _dickson_kernel(F, n, dict(zip(perm_gens, mats)), go_gens,
+                                         len(points), 2 * target)
+        return finish(used, elements, extra_meta={"parent_gens": go_gens})
+    # for q odd, Omega and POmega are derived subgroups of GO
     gen_list, elements = derived_subgroup(go_gens, len(points), limit=4 * target,
                                           expected=target)
     return finish(gen_list, elements, extra_meta={"parent_gens": go_gens})
+
+
+def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
+    """rank(m - I) mod 2: the homomorphism GO_n(q) -> Z/2 for q even."""
+    rows = [[F.sub(m[i * n + j], 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = F.inv[rows[rank][col]]
+        for i in range(rank + 1, n):
+            if rows[i][col]:
+                f = F.mul[rows[i][col]][inv]
+                rows[i] = [F.sub(x, F.mul[f][y]) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank % 2
+
+
+def _dickson_kernel(F: Fq, n: int, matrix_of: dict, gens: list, degree: int, limit: int):
+    """Generators and elements of the kernel of the Dickson invariant on
+    <gens>, by Schreier's rule with the transversal {1, r} for one fixed
+    odd generator r: an even generator g gives g and r*g*r, an odd one
+    gives r*g (all generators here are involutions)."""
+    odd = [_dickson_invariant(F, n, matrix_of[g]) for g in gens]
+    r = gens[odd.index(1)]
+    schreier = []
+    for g, is_odd in zip(gens, odd):
+        if is_odd:
+            schreier.append(perm_compose(r, g))
+        else:
+            schreier += [g, perm_compose(perm_compose(r, g), r)]
+    used, elements, _ = close_under_products(schreier, degree, limit=limit)
+    return used, elements
 
 
 def _field_for(kind: str, q: int) -> Fq:

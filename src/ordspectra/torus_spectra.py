@@ -15,14 +15,23 @@ divisor set of its exponent, so the group's semisimple order set is the
 union of divisor sets over a transversal of torus classes.
 
 For the *simple* groups the torus must be replaced by its image in the
-simple quotient.  That image is computed exactly from the structure of
-the ambient torus: it is the kernel of an explicit linear character
+simple quotient: the kernel of an explicit linear character
 (determinant for SL/SU, the spinor character for the Omega groups)
-modulo an explicit central element.  For types B/C/D/2D this reduces to
-closed forms for the exponent; for A/2A the exponent is obtained by a
-Smith-normal-form computation on the (small) relation lattice.  Both
-routes are gated by oracle equality on every small group in the test
-grid.
+modulo an explicit central element.  Its exponent has a closed form in
+every family.  With k >= 3 cyclic blocks it is lcm(m_i): for A/2A, the
+kernel contains e_i - (+-e_j) of order lcm(m_i, m_j), and a multiple of
+it lies in the cyclic centre only if it is 0, since the centre's
+generator is nonzero in a third coordinate.  With one or two blocks the
+character and the centre cost a bounded factor (``_a_family_exponent``,
+``_bcd_family_exponent``).  Both are gated by brute-force enumeration
+and by oracle equality on every small group in the test grid.
+
+So the exact order set only needs the tori with one or two blocks, O(d)
+of them, and for the rest the *supports*: the sets of distinct (signed)
+parts that repeated parts fill to a torus with at least three blocks.
+Each distinct exponent contributes its divisors once.  The level-1
+bound sums the divisor count of every torus instead: a support's count
+is added once per torus that fills it.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -31,6 +40,7 @@ natively, the others are looked up in ingested spectrum data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -55,7 +65,8 @@ class OrderSet:
         return OrderSet(tuple(sorted(set(values))))
 
     def __contains__(self, item: int) -> bool:
-        return item in set(self.values)
+        i = bisect_left(self.values, item)
+        return i < len(self.values) and self.values[i] == item
 
     def __len__(self) -> int:
         return len(self.values)
@@ -101,7 +112,8 @@ def _fact_halve(f: Factored, times: int = 1) -> Factored:
 def _fact_divisors(f: Factored) -> Iterator[int]:
     divisors = [1]
     for p, k in f.items():
-        divisors = [d * p**e for d in divisors for e in range(k + 1)]
+        powers = [p**e for e in range(1, k + 1)]
+        divisors += [d * power for power in powers for d in divisors]
     return iter(divisors)
 
 
@@ -298,6 +310,11 @@ def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
 # torus exponents in the simple classical groups
 
 
+def _a_sign(part: int, twisted: bool) -> int:
+    """The sign s of the torus factor q**part + s in type A or 2A."""
+    return 1 if twisted and part % 2 else -1
+
+
 def _a_family_exponent(n: int, q: int, parts: tuple[int, ...], twisted: bool) -> int:
     """Exponent of the image in the simple group of the torus attached to
     ``parts`` (a partition of n = d + 1) for type A (twisted=False) or
@@ -308,58 +325,32 @@ def _a_family_exponent(n: int, q: int, parts: tuple[int, ...], twisted: bool) ->
     sum(eps_i * x_i) mod r (r = q -/+ 1), where eps_i = 1 for type A and,
     in the twisted case, eps_i = +1 on odd parts and -1 on even parts
     (the norm of the even-part torus factor inverts the distinguished
-    generator).  The central subgroup is generated by (m_1/w, ..., m_k/w)
-    with w = gcd(n, r).  Flipping coordinates by eps_i makes the
-    character a plain sum again, so the quotient kernel-mod-center is
-    presented by an explicit relation lattice whose largest elementary
-    divisor is the exponent.
+    generator).  The central subgroup is generated by z = (c_1, ..., c_k)
+    with c_i = m_i/w and w = gcd(n, r).  The exponent of kernel/<z> is:
+
+    * lcm(m_i) when r = 1 (no character, trivial centre) or k >= 3 (see
+      the module docstring);
+    * m/(r*w) when k = 1: the kernel is cyclic of order m/r and <z> has
+      order w;
+    * when k = 2, the least E that is a multiple of lcm(c_1, c_2), say
+      E = s*lcm(c_1, c_2) with 1 <= s <= w, and satisfies
+      eps_1*E/c_1 + eps_2*E/c_2 = 0 (mod w).  The kernel is generated by
+      (1, -eps_1*eps_2) and (0, r); E times the first lies in <z> exactly
+      under that condition, and E times the second is then 0, since m_2/r
+      divides c_2.
     """
     r = q + 1 if twisted else q - 1
-    if r == 1:
-        # GL_n(2)-type degenerate determinant: kernel is everything,
-        # center trivial.
-        exp: Factored = {}
-        for part in parts:
-            sign = (+1 if part % 2 else -1) if twisted else -1
-            exp = _fact_lcm(exp, _m_factored(q, part, sign))
-        return _fact_value(exp)
-    k = len(parts)
+    ms = [q**part + _a_sign(part, twisted) for part in parts]
+    if r == 1 or len(ms) >= 3:
+        return math.lcm(*ms)
     w = math.gcd(n, r)
-    ms = []
-    eps = []
-    for part in parts:
-        sign = (+1 if part % 2 else -1) if twisted else -1
-        ms.append(q**part + (1 if sign == 1 else -1))
-        eps.append(1 if (not twisted or part % 2) else -1)
-    # relation rows in the basis v_i = e_i - e_{i+1} (i < k), v_k = r*e_k;
-    # e_i has coordinates (0..0, 1 at i..k-1, 1/r at k).
-    rows = []
-    for i, m in enumerate(ms):
-        row = [0] * k
-        for j in range(i, k - 1):
-            row[j] = m
-        row[k - 1] = m // r
-        rows.append(row)
-    z_row = [0] * k
-    prefix = 0
-    for j in range(k - 1):
-        prefix += eps[j] * (ms[j] // w)
-        z_row[j] = prefix
-    total = sum(e * (m // w) for e, m in zip(eps, ms))
-    assert total % r == 0, "central element must lie in the determinant kernel"
-    z_row[k - 1] = total // r
-    rows.append(z_row)
-    divisors = smith_diagonal(rows, k)
-    assert len(divisors) == k
-    product = 1
-    for dv in divisors:
-        product *= dv
-    expected = 1
-    for m in ms:
-        expected *= m
-    # |kernel of det| = prod(m_i)/r; the center contributes a further /w.
-    assert product * r * w == expected, "torus quotient has the wrong order"
-    return divisors[-1]
+    if len(ms) == 1:
+        return ms[0] // (r * w)
+    eps = [1 if not twisted or part % 2 else -1 for part in parts]
+    c1, c2 = ms[0] // w, ms[1] // w
+    base = math.lcm(c1, c2)
+    return next(E for E in range(base, base * w + 1, base)
+                if (eps[0] * (E // c1) + eps[1] * (E // c2)) % w == 0)
 
 
 def _bcd_family_exponent(family: str, q: int,
@@ -408,39 +399,142 @@ def _bcd_family_exponent(family: str, q: int,
     return lcm
 
 
+#: parity of the number of minus parts of a torus (None: any)
+_MINUS_PARITY = {"B": None, "C": None, "D": 0, "2D": 1}
+
+
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
-    """Factored exponents of the simple-group torus images, one per class."""
+    """Factored exponents of the simple-group torus images, one per class:
+    the plain enumeration over all (signed) partitions, which the
+    support-based ``semisimple_orders_simple`` and
+    ``nr_semisimple_orders_bound`` are tested against."""
     family, d, q = spec.family, spec.d, spec.q
     if family in ("A", "2A"):
         n = d + 1
         twisted = family == "2A"
         ref: Factored = {}
         for i in range(1, n + 1):
-            sign = (+1 if i % 2 else -1) if twisted else -1
-            ref = _fact_lcm(ref, _m_factored(q, i, sign))
+            ref = _fact_lcm(ref, _m_factored(q, i, _a_sign(i, twisted)))
         for lam in partitions(n):
             exp = _a_family_exponent(n, q, lam, twisted)
             yield _fact_of_int_dividing(exp, ref)
         return
-    if family in ("B", "C"):
-        for plus, minus in signed_partitions(d):
-            yield _bcd_family_exponent(family, q, plus, minus)
-        return
-    if family == "D":
-        for plus, minus in signed_partitions(d, minus_parity=0):
-            yield _bcd_family_exponent(family, q, plus, minus)
-        return
-    if family == "2D":
-        for plus, minus in signed_partitions(d, minus_parity=1):
+    if family in _MINUS_PARITY:
+        for plus, minus in signed_partitions(d, _MINUS_PARITY[family]):
             yield _bcd_family_exponent(family, q, plus, minus)
         return
     raise DomainError(f"{family} is not a classical family")
 
 
+def _torus_model(spec: LieSpec):
+    """(exponents of the tori with one or two blocks, one per torus; the
+    size d of the blocks; signs[a], the signs a block of part a can take;
+    the parity of the number of +1 blocks, None for any) of a classical
+    family.  A block (a, s) has the factor q**a + s."""
+    family, d, q = spec.family, spec.d, spec.q
+    if family in ("A", "2A"):
+        n = d + 1
+        twisted = family == "2A"
+        few: list[Factored] = []
+        for lam in [(n,)] + [(n - b, b) for b in range(1, n // 2 + 1)]:
+            ref: Factored = {}
+            for part in lam:
+                ref = _fact_lcm(ref, _m_factored(q, part, _a_sign(part, twisted)))
+            few.append(_fact_of_int_dividing(_a_family_exponent(n, q, lam, twisted), ref))
+        return few, n, [(_a_sign(a, twisted),) for a in range(n + 1)], None
+    if family in _MINUS_PARITY:
+        parity = _MINUS_PARITY[family]
+        shapes = [((d,), ()), ((), (d,))]
+        shapes += [((d - b, b), ()) for b in range(1, d // 2 + 1)]
+        shapes += [((), (d - b, b)) for b in range(1, d // 2 + 1)]
+        shapes += [((d - b,), (b,)) for b in range(1, d)]
+        few = [_bcd_family_exponent(family, q, plus, minus) for plus, minus in shapes
+               if parity is None or len(minus) % 2 == parity]
+        return few, d, [(-1, 1)] * (d + 1), parity
+    raise DomainError(f"{family} is not a classical family")
+
+
+def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
+              ) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
+    """(support, rest, lcm) for every support of a torus of size d with at
+    least three blocks: a set of distinct blocks (a, s), the size rest
+    that extra copies of them must fill, and lcm(q**a + s).
+
+    A support belongs to such a torus when extra copies of its blocks
+    fill it up to exactly d, with >= 3 blocks in all and, unless
+    ``parity`` is None, a number of +1 blocks of that parity.  The fill
+    test is a bitset knapsack kept along the walk: bit t of ``fills[e]``
+    says that extra copies summing to t exist with e = their number of +1
+    blocks mod 2.
+    """
+    mask = (1 << (d + 1)) - 1
+    factor = {(a, sign): q**a + sign for a in range(1, d + 1) for sign in signs[a]}
+
+    def refill(fills, a, sign):
+        even, odd = fills
+        flips = parity is not None and sign == 1
+        step = 2 * a if flips else a
+        while step <= d:  # doubling: closed under every multiple of step
+            even |= (even << step) & mask
+            odd |= (odd << step) & mask
+            step *= 2
+        if flips:
+            even, odd = even | (odd << a) & mask, odd | (even << a) & mask
+        return even, odd
+
+    # (rest, largest part still free, support, its number of +1 blocks,
+    # fills, lcm)
+    stack = [(d, d, (), 0, (1, 0), 1)]
+    while stack:
+        rest, top, support, minus, fills, lcm = stack.pop()
+        blocks = len(support)
+        if (blocks and fills[(parity - minus) % 2 if parity is not None else 0] >> rest & 1
+                and (blocks >= 3 or (blocks == 2 and rest > 0)
+                     or (blocks == 1 and rest >= 2 * support[0][0]))):
+            yield support, rest, lcm
+        for a in range(min(top, rest), 0, -1):
+            for sign in signs[a]:
+                stack.append((rest - a, a - 1, support + ((a, sign),), minus + (sign == 1),
+                              refill(fills, a, sign), math.lcm(lcm, factor[a, sign])))
+            if len(signs[a]) == 2 and 2 * a <= rest:
+                stack.append((rest - 2 * a, a - 1, support + ((a, -1), (a, 1)), minus + 1,
+                              refill(refill(fills, a, -1), a, 1),
+                              math.lcm(lcm, factor[a, -1], factor[a, 1])))
+
+
+def _nr_fillings(rest: int, support, parity: int | None) -> int:
+    """Number of tori with exactly this support whose extra copies fill
+    ``rest``: the same knapsack as in ``_supports``, counting."""
+    want = 0 if parity is None else (parity - sum(s == 1 for _, s in support)) % 2
+    even, odd = [1] + [0] * rest, [0] * (rest + 1)
+    for a, sign in support:
+        flips = parity is not None and sign == 1
+        for t in range(a, rest + 1):
+            if flips:
+                even[t], odd[t] = even[t] + odd[t - a], odd[t] + even[t - a]
+            else:
+                even[t] += even[t - a]
+                odd[t] += odd[t - a]
+    return (odd if want else even)[rest]
+
+
+def _support_lcm(q: int, support) -> Factored:
+    out: Factored = {}
+    for a, sign in support:
+        out = _fact_lcm(out, _m_factored(q, a, sign))
+    return out
+
+
 def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
-    """Set of semisimple element orders of the classical simple group."""
+    """Set of semisimple element orders of the classical simple group:
+    the divisors of each distinct torus exponent, taken once."""
+    few, size, signs, parity = _torus_model(spec)
+    exponents = {_fact_value(exp): exp for exp in few}
+    for support, _, lcm in _supports(size, spec.q, signs, parity):
+        if lcm not in exponents:
+            exponents[lcm] = _support_lcm(spec.q, support)
     out: set[int] = set()
-    for exp in _simple_torus_exponents(spec):
+    for exp in exponents.values():
         out.update(_fact_divisors(exp))
     return OrderSet.from_iterable(out)
 
@@ -454,10 +548,19 @@ def nr_semisimple_orders(spec: LieSpec) -> int:
 
 def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     """Upper bound: per-torus divisor counts are summed instead of
-    materializing the union (quality level 1)."""
+    materializing the union (quality level 1).  The tori with one or two
+    blocks are summed one by one; the others share the exponent of their
+    support, which counts once per torus (``_nr_fillings``)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
-    return sum(_fact_tau(exp) for exp in _simple_torus_exponents(spec))
+    few, size, signs, parity = _torus_model(spec)
+    total = sum(_fact_tau(exp) for exp in few)
+    taus: dict[int, int] = {}
+    for support, rest, lcm in _supports(size, spec.q, signs, parity):
+        if lcm not in taus:
+            taus[lcm] = _fact_tau(_support_lcm(spec.q, support))
+        total += _nr_fillings(rest, support, parity) * taus[lcm]
+    return total
 
 
 # ---------------------------------------------------------------------------

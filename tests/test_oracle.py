@@ -163,3 +163,17 @@ def test_expected_orders():
     assert oracle.expected_order("POmegaplus", 6, 2) == 20160
     assert oracle.expected_order("POmegaminus", 6, 2) == 25920
     assert oracle.expected_order("Omegaminus", 4, 3) == 360
+
+
+@pytest.mark.parametrize("kind", ["SOplus", "Omegaplus", "POmegaplus"])
+def test_dickson_kernel_plus_4_2(get_group, kind):
+    """For q even these are the kernel of the Dickson invariant on GO+_4(2),
+    S3 x S3 of order 36 with 9 classes; the derived subgroup of GO+_4(2)
+    has order 18 only."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = get_group(kind, 4, 2)
+    assert group.order == oracle.expected_order(kind, 4, 2) == 36
+    assert group.conjugacy_class_count() == 9
+    checked = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in group.gens])
+    assert checked.order() == 36

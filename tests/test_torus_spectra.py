@@ -295,3 +295,88 @@ def test_smith_diagonal_simple_cases():
     assert smith_diagonal([[2, 0], [0, 3]], 2) == [1, 6]
     assert smith_diagonal([[4, 0], [0, 6]], 2) == [2, 12]
     assert smith_diagonal([[1, 0], [0, 1], [5, 7]], 2) == [1, 1]
+
+
+def test_order_set_contains():
+    orders = ts.OrderSet.from_iterable([12, 1, 6, 2, 4, 3])
+    assert all(v in orders for v in (1, 2, 3, 4, 6, 12))
+    assert all(v not in orders for v in (0, 5, 7, 8, 11, 13, 24, 10**30))
+    assert 1 not in ts.OrderSet(())
+
+
+# ---------------------------------------------------------------------------
+# the closed-form A/2A exponent and the distinct-support union
+
+
+def smith_lattice_exponent(n, q, parts, twisted):
+    """Exponent of kernel(det)/<z> for the A/2A torus of ``parts``: the
+    largest elementary divisor of its relation lattice, in the basis
+    v_i = e_i - e_{i+1} (i < k), v_k = r*e_k of the kernel."""
+    from ordspectra.torus_spectra import smith_diagonal
+
+    r = q + 1 if twisted else q - 1
+    ms = [q**part + (1 if twisted and part % 2 else -1) for part in parts]
+    if r == 1:
+        return math.lcm(*ms)
+    eps = [1 if not twisted or part % 2 else -1 for part in parts]
+    k, w = len(parts), math.gcd(n, r)
+    # e_i has coordinates (0..0, 1 at i..k-1, 1/r at k)
+    rows = [[m if i <= j < k - 1 else 0 for j in range(k - 1)] + [m // r]
+            for i, m in enumerate(ms)]
+    prefixes = [sum(e * (m // w) for e, m in zip(eps[:j + 1], ms[:j + 1]))
+                for j in range(k - 1)]
+    total = sum(e * (m // w) for e, m in zip(eps, ms))
+    assert total % r == 0
+    rows.append(prefixes + [total // r])
+    divisors = smith_diagonal(rows, k)
+    assert math.prod(divisors) * r * w == math.prod(ms)
+    return divisors[-1]
+
+
+def test_a_family_exponent_matches_smith_form():
+    from ordspectra.torus_spectra import _a_family_exponent, partitions
+
+    nontrivial_centre = 0
+    for q in (2, 3, 4, 5, 7, 9):
+        for n in range(1, 15):
+            for twisted in (False, True):
+                w = math.gcd(n, q + 1 if twisted else q - 1)
+                for lam in partitions(n):
+                    want = smith_lattice_exponent(n, q, lam, twisted)
+                    assert _a_family_exponent(n, q, lam, twisted) == want, (n, q, lam, twisted)
+                    nontrivial_centre += w > 1
+    assert nontrivial_centre > 1000
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
+def test_supports_match_per_torus_enumeration(family):
+    """The union and the level-1 sum over supports equal the union and the
+    sum over every torus."""
+    for q in (2, 3):
+        Q = q * q if family in ("2A", "2D") else q
+        for d in range(2 if family in ("D", "2D") else 1, 16):
+            spec = lc.make_spec(family, d, Q)
+            union, total = set(), 0
+            for exponent in ts._simple_torus_exponents(spec):
+                union.update(ts._fact_divisors(exponent))
+                total += ts._fact_tau(exponent)
+            assert ts.semisimple_orders_simple(spec).values == tuple(sorted(union)), (family, d, Q)
+            assert ts.nr_semisimple_orders_bound(spec) == total, (family, d, Q)
+
+
+def test_counts_match_pinned_frontier():
+    import json
+    from pathlib import Path
+
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    with open(pinned, encoding="utf-8") as handle:
+        frontier = json.load(handle)["frontier"]
+    checked = 0
+    for name, entry in frontier.items():
+        family, Q = name.split("/")
+        for d, count in entry["counts"].items():
+            if int(d) <= 18:
+                spec = lc.make_spec(family, int(d), int(Q))
+                assert ts.nr_semisimple_orders(spec) == count, (name, d)
+                checked += 1
+    assert checked >= 200
