@@ -13,6 +13,7 @@ import math
 from ..errors import AutGenerationFailed, DomainError
 from ..torus_spectra import OrderSet
 from .autos import (
+    conjugation_map,
     duality_automorphism,
     enumerate_automorphisms,
     field_automorphism,
@@ -21,7 +22,7 @@ from .autos import (
     matrix_conjugation,
     nr_aut_orbits_from_maps,
 )
-from .build import DEFAULT_CAP, build_classical, expected_order
+from .build import DEFAULT_CAP, build_classical, expected_order, orthogonal_similitude
 from .ffield import get_field
 from .groups import SmallGroup, close_under_products, mat_identity
 
@@ -130,12 +131,13 @@ def outer_maps_for(G: SmallGroup) -> list | None:
             maps.append(field_automorphism(G))
         return maps
     if kind in ("POmegaplus", "POmegaminus"):
-        from .autos import conjugation_map
-
-        # the parent generators are reflections of the ambient orthogonal
+        # the parent generators are the recipe of the ambient orthogonal
         # group acting on the same projective points
         F = G.meta["field"]
-        maps = [conjugation_map(pg) for pg in G.meta["parent_gens"][:3]]
+        maps = [conjugation_map(pg) for pg in G.meta["parent_gens"]]
+        if F.q % 2 == 1:
+            sign = 1 if kind == "POmegaplus" else -1
+            maps.append(matrix_conjugation(G, orthogonal_similitude(F, G.meta["n"], sign)))
         if F.e > 1:
             maps.append(field_automorphism(G))
         return maps
@@ -145,8 +147,6 @@ def outer_maps_for(G: SmallGroup) -> list | None:
             return None  # the exceptional automorphism is not realized here
         img = list(range(G.degree))
         img[0], img[1] = img[1], img[0]
-        from .autos import conjugation_map
-
         return [conjugation_map(tuple(img))]
     return None
 

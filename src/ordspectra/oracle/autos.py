@@ -43,7 +43,6 @@ def point_relabel_map(G: SmallGroup, relabel: Callable) -> AutoMap:
     """Automorphism induced by a permutation of the underlying points
     (e.g. a semilinear map normalizing the group)."""
     points = G.meta["points"]
-    F: Fq = G.meta["field"]
     index = {pt: i for i, pt in enumerate(points)}
     pi = tuple(index[relabel(pt)] for pt in points)
     return conjugation_map(pi)

@@ -8,6 +8,7 @@ POmegaplus POmegaminus (even dimension).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from ..errors import CapExceeded, DomainError
@@ -18,11 +19,11 @@ from .groups import (
     all_vectors,
     bilinear,
     close_under_products,
-    derived_subgroup,
     hermitian_value,
     mat_identity,
     matrices_to_perms,
     perm_compose,
+    perm_inverse,
     projective_points,
     quadratic_coeffs,
     quadratic_value,
@@ -202,11 +203,12 @@ def _unitary_root_elements(F: Fq, n: int, half: int) -> list[Matrix]:
 def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
     """Generators of the full orthogonal group: reflections (q odd) or
     orthogonal transvections (q even) along the non-singular vectors, one
-    per projective point.  They generate it except for O+_4(2), where
-    they give a subgroup of index 2; so for plus type and n >= 4 the
-    isometry swapping the hyperbolic pairs (e_0, e_{n-1}) and (e_1,
-    e_{n-2}) comes last (the closure skips it wherever it is
-    redundant)."""
+    per projective point.  For q odd the reflections generate it
+    (Cartan-Dieudonne), so every generator is a reflection.  For q even
+    the transvections generate it except for O+_4(2), where they give a
+    subgroup of index 2; so for q even, plus type and n >= 4 the isometry
+    swapping the hyperbolic pairs (e_0, e_{n-1}) and (e_1, e_{n-2}) comes
+    last (the closure skips it wherever it is redundant)."""
     terms = quadratic_coeffs(F, n, sign)
 
     def polar(x, y):
@@ -231,13 +233,40 @@ def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
             else:
                 cols.append([F.sub(basis[k], F.mul[coeff][v[k]]) for k in range(n)])
         gens.append(_cols_to_matrix(cols, n))
-    if sign == 1 and n >= 4:
+    if F.p == 2 and sign == 1 and n >= 4:
         images = list(range(n))
         images[0], images[1] = 1, 0
         images[n - 1], images[n - 2] = n - 2, n - 1
         gens.append(_cols_to_matrix(
             [[1 if k == images[i] else 0 for k in range(n)] for i in range(n)], n))
     return gens
+
+
+def orthogonal_similitude(F: Fq, n: int, sign: int) -> Matrix:
+    """A similitude of the even-dimensional form with multiplier the field
+    generator lam: diag(1^m, lam^m) on the plus form.  On the minus form
+    it scales the hyperbolic pairs the same way and takes, on the middle
+    plane, the first 2x2 block in lexicographic order that scales
+    x**2 + a x y + b y**2 by lam."""
+    lam = F.generator
+    m = n // 2
+    sim = list(mat_identity(n))
+    for i in range(m, n):
+        sim[i * n + i] = lam
+    if sign == -1:
+        terms = quadratic_coeffs(F, n, sign)
+
+        def form(x, y):
+            return quadratic_value(F, terms, (0,) * (m - 1) + (x, y) + (0,) * (m - 1))
+
+        plane = [(x, y) for x in range(F.q) for y in range(F.q)]
+        a, b, c, d = next(blk for blk in itertools.product(range(F.q), repeat=4)
+                          if all(form(F.add[F.mul[blk[0]][x]][F.mul[blk[1]][y]],
+                                      F.add[F.mul[blk[2]][x]][F.mul[blk[3]][y]])
+                                 == F.mul[lam][form(x, y)] for x, y in plane))
+        sim[(m - 1) * n + m - 1], sim[(m - 1) * n + m] = a, b
+        sim[m * n + m - 1], sim[m * n + m] = c, d
+    return tuple(sim)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +280,13 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
     Projective kinds act on projective points; the others act on the
     nonzero vectors of the natural module.  The recipe of the kind is
     closed once (``close_under_products``), keeping only the generators
-    it needs; SO, Omega and POmega are cut out of the one closure of the
-    full orthogonal group (for q even as the kernel of the Dickson
-    invariant).  Matrix witnesses are kept for PSL and on
-    request (not for orthogonal kinds).  Raises CapExceeded when the
-    order polynomial exceeds ``cap``; raises DomainError if the closure
-    does not reach the expected order (a construction bug, never a
-    silent approximation).
+    it needs.  SO, Omega and POmega are not closed from GO: they are the
+    kernel of a map GO -> (Z/2)^2 read off each recipe matrix
+    (``_character``), generated by its Schreier generators (``_kernel``).
+    Matrix witnesses are kept for PSL and on request (not for SO, Omega
+    and POmega).  Raises CapExceeded when the order polynomial exceeds
+    ``cap``; raises DomainError if the closure does not reach the
+    expected order (a construction bug, never a silent approximation).
     """
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}")
@@ -292,62 +321,64 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
             raise DomainError("symplectic groups need even dimension")
         mats = _sp_gens(F, n)
     else:
-        mats = None  # orthogonal kinds: reflections, closed below
-    if mats is not None:
-        perm_gens = matrices_to_perms(F, n, mats, points, projective)
-        if witnesses or kind == "PSL":
-            return finish(*close_under_products(perm_gens, len(points), gen_mats=mats,
-                                                field_obj=F, n=n, limit=2 * target))
-        return finish(*close_under_products(perm_gens, len(points), limit=2 * target))
-
-    if n % 2 == 1:
-        if q % 2 == 0:
+        if n % 2 == 0 and kind in ("GO", "SO", "Omega"):
+            raise DomainError("even dimension needs a plus/minus kind")
+        if n % 2 == 1 and q % 2 == 0:
             raise DomainError(
                 "odd-dimensional orthogonal groups over even q coincide "
                 "with Sp; build that instead"
             )
-        sign = 0
-        go_kind = "GO"
-    else:
-        if kind in ("GO", "SO", "Omega"):
-            raise DomainError("even dimension needs a plus/minus kind")
-        sign = 1 if "plus" in kind else -1
-        go_kind = "GOplus" if sign == 1 else "GOminus"
-    go_target = expected_order(go_kind, n, q)
-    if projective and q % 2 == 1:
-        go_target //= 2  # the projective action kills {+I, -I}
-    mats = orthogonal_group_gens(F, n, sign)
+        sign = 0 if n % 2 else 1 if "plus" in kind else -1
+        mats = orthogonal_group_gens(F, n, sign)
     perm_gens = matrices_to_perms(F, n, mats, points, projective)
-    go_gens, go_elements, _ = close_under_products(perm_gens, len(points),
-                                                   limit=2 * go_target)
-    if len(go_elements) != go_target:
-        raise DomainError(
-            f"reflections failed to generate the orthogonal group "
-            f"for {kind}({n},{q})"
-        )
-    if kind == go_kind:
-        return finish(go_gens, go_elements)
-    if kind in ("SO", "SOplus", "SOminus") and q % 2 == 1:
-        # products of two reflections: the determinant-1 subgroup
-        r0 = go_gens[0]
-        so_gens = [perm_compose(r0, g) for g in go_gens]
-        used, elements, _ = close_under_products(so_gens, len(points), limit=2 * target)
-        return finish(used, elements)
-    if q % 2 == 0:
-        # det is identically 1 and the centre is trivial, so SO = Omega =
-        # POmega: the kernel of the Dickson invariant, which is not always
-        # the derived subgroup (Omega+_4(2) = S3 x S3 is not perfect)
-        used, elements = _dickson_kernel(F, n, dict(zip(perm_gens, mats)), go_gens,
-                                         len(points), 2 * target)
-        return finish(used, elements, extra_meta={"parent_gens": go_gens})
-    # for q odd, Omega and POmega are derived subgroups of GO
-    gen_list, elements = derived_subgroup(go_gens, len(points), limit=4 * target,
-                                          expected=target)
-    return finish(gen_list, elements, extra_meta={"parent_gens": go_gens})
+    if kind.startswith(("SO", "Omega", "POmega")):
+        terms = quadratic_coeffs(F, n, sign)
+        spinor = q % 2 == 1 and "Omega" in kind
+        labels = [_character(F, n, terms, m, spinor) for m in mats]
+        return finish(*_kernel(perm_gens, labels, len(points), 2 * target),
+                      extra_meta={"parent_gens": perm_gens})
+    if witnesses or kind == "PSL":
+        return finish(*close_under_products(perm_gens, len(points), gen_mats=mats,
+                                            field_obj=F, n=n, limit=2 * target))
+    return finish(*close_under_products(perm_gens, len(points), limit=2 * target))
+
+
+def _character(F: Fq, n: int, terms, m: Matrix, spinor: bool) -> int:
+    """The value on a recipe matrix of the map GO -> (Z/2)^2 whose kernels
+    are SO (bit 0) and Omega (both bits).  Bit 0 is the Dickson invariant,
+    which is the determinant on a reflection for q odd.  Bit 1 (spinor)
+    is the spinor norm of a reflection r_v for q odd: Q(v) modulo
+    squares, read off any nonzero column of m - I, a multiple of v."""
+    value = _dickson_invariant(F, n, m)
+    if spinor:
+        v = next(col for col in ([F.sub(m[i * n + j], int(i == j)) for i in range(n)]
+                                 for j in range(n)) if any(col))
+        squares = {F.mul[x][x] for x in range(1, F.q)}
+        value |= (quadratic_value(F, terms, v) not in squares) << 1
+    return value
+
+
+def _kernel(gens: list, labels: list[int], degree: int, limit: int):
+    """Generators and elements of the kernel of the character that takes
+    the value labels[i] (bits under xor) on gens[i], by Schreier's lemma:
+    a transversal t_c over the reachable values c, and the generators
+    t_c * g * t_(c xor label g)^-1."""
+    transversal = {0: tuple(range(degree))}
+    reached = [0]
+    for c in reached:  # grows while it is walked
+        for g, label in zip(gens, labels):
+            if c ^ label not in transversal:
+                transversal[c ^ label] = perm_compose(transversal[c], g)
+                reached.append(c ^ label)
+    schreier = (perm_compose(perm_compose(t, g), perm_inverse(transversal[c ^ label]))
+                for c, t in transversal.items() for g, label in zip(gens, labels))
+    used, elements, _ = close_under_products(schreier, degree, limit=limit)
+    return used, elements
 
 
 def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
-    """rank(m - I) mod 2: the homomorphism GO_n(q) -> Z/2 for q even."""
+    """rank(m - I) mod 2: the homomorphism GO_n(q) -> Z/2 for q even, and
+    the determinant on a reflection for q odd."""
     rows = [[F.sub(m[i * n + j], 1 if i == j else 0) for j in range(n)] for i in range(n)]
     rank = 0
     for col in range(n):
@@ -362,23 +393,6 @@ def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
                 rows[i] = [F.sub(x, F.mul[f][y]) for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank % 2
-
-
-def _dickson_kernel(F: Fq, n: int, matrix_of: dict, gens: list, degree: int, limit: int):
-    """Generators and elements of the kernel of the Dickson invariant on
-    <gens>, by Schreier's rule with the transversal {1, r} for one fixed
-    odd generator r: an even generator g gives g and r*g*r, an odd one
-    gives r*g (all generators here are involutions)."""
-    odd = [_dickson_invariant(F, n, matrix_of[g]) for g in gens]
-    r = gens[odd.index(1)]
-    schreier = []
-    for g, is_odd in zip(gens, odd):
-        if is_odd:
-            schreier.append(perm_compose(r, g))
-        else:
-            schreier += [g, perm_compose(perm_compose(r, g), r)]
-    used, elements, _ = close_under_products(schreier, degree, limit=limit)
-    return used, elements
 
 
 def _field_for(kind: str, q: int) -> Fq:

@@ -357,36 +357,3 @@ def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: boo
         perms.append(tuple(images))
     return perms
 
-
-def derived_subgroup(parent_gens: list[Perm], degree: int,
-                     limit: int | None = None,
-                     expected: int | None = None) -> tuple[list[Perm], set[Perm]]:
-    """Generators and elements of the derived subgroup of <parent_gens>.
-
-    Closes over the commutators of the parent generators.  Unless that
-    reaches ``expected`` (a known order; a subgroup of the derived
-    subgroup with its full order equals it), conjugates are adjoined
-    until the result is closed under conjugation by the parent
-    generators, hence equals the full derived subgroup.
-    """
-    inv = [perm_inverse(g) for g in parent_gens]
-    comms = (perm_compose(perm_compose(perm_compose(ai, bi), a), b)
-             for a, ai in zip(parent_gens, inv)
-             for b, bi in zip(parent_gens, inv))
-    gen_list, elements, _ = close_under_products(comms, degree, limit=limit)
-    if expected is not None and len(elements) == expected:
-        return gen_list, elements
-    while True:
-        missing = None
-        for x in gen_list:
-            for g, gi in zip(parent_gens, inv):
-                y = perm_compose(perm_compose(gi, x), g)
-                if y not in elements:
-                    missing = y
-                    break
-            if missing:
-                break
-        if missing is None:
-            return gen_list, elements
-        gen_list.append(missing)
-        gen_list, elements, _ = close_under_products(gen_list, degree, limit=limit)

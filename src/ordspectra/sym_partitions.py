@@ -37,9 +37,6 @@ class PartitionNumberMatrix:
     primes: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def row_sum(self, i: int) -> int:
-        return sum(self.rows[i - 1])
-
 
 class _RTable:
     """Incrementally grown table of r_p values with row suffix sums.

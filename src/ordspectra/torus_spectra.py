@@ -71,9 +71,6 @@ class OrderSet:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __or__(self, other: "OrderSet") -> "OrderSet":
-        return OrderSet.from_iterable(self.values + other.values)
-
 
 # ---------------------------------------------------------------------------
 # factored-integer helpers (exponents are kept factored so that divisor

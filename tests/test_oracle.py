@@ -75,6 +75,7 @@ def test_unitary_recipes_schreier_sims(kind, n, q):
     ("Omegaminus", 4, 2, 5),    # A5
     ("Omegaminus", 4, 3, 7),    # PSL2(9)
     ("POmegaplus", 4, 3, 16),   # A4 x A4
+    ("Omega", 5, 3, 20),        # PSp(4,3)
     ("SOminus", 4, 3, 14),
     ("GOplus", 4, 2, 9),        # transvections alone give half of it
 ])
@@ -82,6 +83,22 @@ def test_orthogonal_subgroups_low_rank(get_group, kind, n, q, classes):
     group = get_group(kind, n, q)
     assert group.order == oracle.expected_order(kind, n, q)
     assert group.conjugacy_class_count() == classes
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("Omega", 3), ("Omegaplus", 4), ("Omegaminus", 4), ("POmegaplus", 4), ("POmegaminus", 4),
+])
+def test_spinor_kernel_is_derived_subgroup(get_group, kind, n):
+    """For q odd these are cut as the kernel of the determinant and the
+    spinor norm; here that equals the derived subgroup of the GO recipe
+    group, computed by sympy."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = get_group(kind, n, 3)
+    derived = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in group.meta["parent_gens"]]
+    ).derived_subgroup()
+    assert derived.order() == group.order
+    assert all(derived.contains(combinatorics.Permutation(list(g))) for g in group.gens)
 
 
 def test_closure_skips_redundant_generators():
@@ -133,6 +150,20 @@ def test_nr_aut_orbits_known_values(get_group):
     assert oracle.nr_aut_orbits(get_group("PSL", 2, 9)) == 5
     for p in (5, 7, 11):
         assert oracle.nr_aut_orbits(oracle.build_cyclic(p)) == 2
+
+
+@pytest.mark.parametrize("kind, n, q, orbits", [
+    ("POmegaplus", 4, 3, 6),    # A4 x A4, as the generic search gives
+    ("POmegaminus", 4, 3, 5),   # A6, as the generic search gives
+    ("POmegaplus", 4, 2, 6),
+    ("POmegaminus", 4, 2, 4),   # A5
+    ("POmegaplus", 6, 2, 12),   # A8
+    ("POmegaminus", 6, 2, 15),  # PSU(4,2)
+])
+def test_nr_aut_orbits_pomega(get_group, kind, n, q, orbits):
+    """Conjugation by the whole GO recipe, and for q odd by a similitude
+    with non-square multiplier, gives every orbit fusion."""
+    assert oracle.nr_aut_orbits(get_group(kind, n, q)) == orbits
 
 
 def test_generic_aut_order_on_known_groups():
