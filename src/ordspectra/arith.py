@@ -16,10 +16,6 @@ from .errors import CapacityError, DomainError
 
 LN2 = math.log(2)
 
-#: Largest prime the default sieve targets; chosen as the smallest prime
-#: above 25000.  Sieves extend automatically past it when needed.
-DEFAULT_PRIME_CAP = 25013
-
 #: Trial-division bound used before switching to Pollard rho.
 _TRIAL_BOUND = 100_000
 

@@ -247,7 +247,14 @@ class ExceptionCandidate:
 
 
 def prime_powers_below(limit: int) -> list[int]:
-    return [m for m in range(2, limit) if arith.prime_power_split(m) is not None]
+    """The prime powers p**f (f >= 1) below ``limit``, ascending."""
+    out = []
+    for p in arith.primes_up_to(limit - 1):
+        power = p
+        while power < limit:
+            out.append(power)
+            power *= p
+    return sorted(out)
 
 
 def _valid_Q_values(family: str, q0: int) -> list[int]:

@@ -1,16 +1,21 @@
 """Element-order counts in Sym(n) via partition-number matrices.
 
-The number of element orders in Sym(n) is 1 + sum of r(k) for k <= n,
+The number of element orders in Sym(n) is the sum of r(k) for k <= n,
 where r(k) counts unordered partitions of k into pairwise coprime prime
-powers greater than 1.  r is computed through the recursion on r_p(k),
-the number of such partitions whose smallest prime base is p:
+powers greater than 1 (r(0) = 1: the empty partition).  Each prime
+contributes at most one part, so r(0..n) are the first n + 1
+coefficients of
 
-    r_p(k) = sum over e >= 1 with p**e <= k of
-                 ( 1                                   if k == p**e
-                   sum of r_l(k - p**e) over primes l > p   otherwise )
+    prod over primes p <= n of (1 + x**p + x**(p**2) + ...).
 
-The n-th partition number matrix collects r_{p_j}(i) for i <= n and
-primes p_j <= n; its row sums are r(i).
+The product is taken as one list of n + 1 ints: multiplying by the
+factor of p adds to the list each copy of itself shifted by a power of
+p.  Walking the primes in descending order, the list before the factor
+of p counts the partitions with every base above p and the list after
+it those with every base at least p, so their difference is r_p(k), the
+number of partitions of k whose smallest prime base is p.  The n-th
+partition number matrix collects r_{p_j}(i) for i <= n and primes
+p_j <= n; its row sums are r(i).
 
 Also provided: the distinct-parts partition counts s(n) and the double
 convolution g2(d) built from them, both used by the survey bounds.
@@ -18,8 +23,11 @@ convolution g2(d) built from them, both used by the survey bounds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from types import SimpleNamespace
 
 from . import arith
 from .errors import CapacityError, DomainError
@@ -38,77 +46,48 @@ class PartitionNumberMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
-class _RTable:
-    """Incrementally grown table of r_p values with row suffix sums.
+def _prime_power_product(n: int, columns: dict[int, list[int]] | None = None) -> list[int]:
+    """r(0..n), multiplying in the primes p <= n in descending order.
 
-    rows[k-1][j] = r_{p_j}(k); suffix[k-1][j] = sum of rows[k-1][j:].
-    Shared, append-only cache: results never change once computed.
+    If ``columns`` is given, columns[p] is set to r_p(0..n).
     """
-
-    def __init__(self) -> None:
-        self.primes: list[int] = []
-        self.rows: list[list[int]] = []
-        self.suffix: list[list[int]] = []
-
-    def extend_to(self, n: int, max_prime: int | None) -> None:
-        if n <= len(self.rows):
-            return
-        if self.primes and self.primes[-1] >= n:
-            primes = self.primes
-        else:
-            cap = max(n, arith.DEFAULT_PRIME_CAP)
-            if max_prime is not None:
-                if max_prime < n:
-                    raise CapacityError(
-                        f"prime cap {max_prime} too small for n = {n}", needed=n
-                    )
-                cap = max_prime
-            primes = arith.primes_up_to(cap)
-            self.primes = primes
-        index = {p: j for j, p in enumerate(primes)}
-        for k in range(len(self.rows) + 1, n + 1):
-            row = [0] * len(primes)
-            for j, p in enumerate(primes):
-                if p > k:
-                    break
-                total = 0
-                power = p
-                while power <= k:
-                    if power == k:
-                        total += 1
-                    else:
-                        rest = k - power
-                        # sum of r_l(rest) over primes l > p
-                        srow = self.suffix[rest - 1]
-                        if j + 1 < len(srow):
-                            total += srow[j + 1]
-                    power *= p
-                row[j] = total
-            self.rows.append(row)
-            suf = [0] * (len(row) + 1)
-            for j in range(len(row) - 1, -1, -1):
-                suf[j] = suf[j + 1] + row[j]
-            self.suffix.append(suf)
-
-    def r(self, k: int) -> int:
-        return self.suffix[k - 1][0]
+    r = [1] + [0] * n
+    for p in reversed(arith.primes_up_to(n)):
+        before = r[:]
+        power = p
+        while power <= n:
+            r[power:] = map(operator.add, r[power:], before)
+            power *= p
+        if columns is not None:
+            columns[p] = list(map(operator.sub, r, before))
+    return r
 
 
-_TABLE = _RTable()
+#: r(0..n) for the largest n asked for so far, as the single row of
+#: ``_TABLE.rows``; r(k) does not depend on n, so smaller n read a prefix.
+_TABLE = SimpleNamespace(rows=[[1]])
+
+
+def _r_values(n: int) -> list[int]:
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if len(_TABLE.rows[0]) <= n:
+        _TABLE.rows[0] = _prime_power_product(n)
+    return _TABLE.rows[0]
 
 
 def partition_number_matrix(n: int, max_prime: int | None = None) -> PartitionNumberMatrix:
-    """The n-th partition number matrix (n >= 1)."""
+    """The n-th partition number matrix (n >= 1); a ``max_prime`` below n
+    raises CapacityError."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    _TABLE.extend_to(n, max_prime)
-    primes = tuple(p for p in _TABLE.primes if p <= n)
-    width = max(1, len(primes))
-    rows = tuple(
-        tuple(_TABLE.rows[i][j] if j < len(primes) else 0 for j in range(width))
-        for i in range(n)
-    )
-    return PartitionNumberMatrix(n=n, primes=primes, rows=rows)
+    if max_prime is not None and max_prime < n:
+        raise CapacityError(f"prime cap {max_prime} too small for n = {n}", needed=n)
+    columns: dict[int, list[int]] = {}
+    _prime_power_product(n, columns)
+    primes = tuple(sorted(columns))
+    rows = zip(*(columns[p][1:] for p in primes)) if primes else [(0,)] * n
+    return PartitionNumberMatrix(n=n, primes=primes, rows=tuple(rows))
 
 
 def next_partition_number_matrix(m: PartitionNumberMatrix) -> PartitionNumberMatrix:
@@ -120,31 +99,19 @@ def next_partition_number_matrix(m: PartitionNumberMatrix) -> PartitionNumberMat
 
 def nr_coprime_prime_power_partitions(n: int) -> int:
     """r(n): partitions of n into pairwise coprime prime powers > 1."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _TABLE.extend_to(n, None)
-    return _TABLE.r(n)
+    return _r_values(n)[n]
 
 
 def nr_element_orders_sym(n: int) -> int:
-    """Number of distinct element orders in Sym(n): 1 + sum(r(k), k <= n)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _TABLE.extend_to(n, None)
-    return 1 + sum(_TABLE.r(k) for k in range(1, n + 1))
+    """Number of distinct element orders in Sym(n): sum(r(k), k <= n)."""
+    return sum(_r_values(n)[: n + 1])
 
 
 def omicron_sym_constants(n: int) -> list[tuple[int, float]]:
     """The constants c_k = log(#orders in Sym(k)) / sqrt(k) for k = 1..n."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    _TABLE.extend_to(n, None)
-    out = []
-    total = 1
-    for k in range(1, n + 1):
-        total += _TABLE.r(k)
-        out.append((k, arith.ln_int(total) / k**0.5))
-    return out
+    totals = accumulate(_r_values(n)[: n + 1])
+    next(totals)  # k = 0
+    return [(k, arith.ln_int(total) / k**0.5) for k, total in enumerate(totals, 1)]
 
 
 # ---------------------------------------------------------------------------

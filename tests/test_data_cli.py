@@ -70,6 +70,21 @@ def test_cli_sym(capsys):
     assert code == 0 and "argmax=66" in out
 
 
+def test_python_m_runs_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ordspectra", "sym", "omicron", "--n", "4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "4"
+
+
 def test_cli_lie(capsys):
     code, out, _ = run_cli(capsys, "lie", "order", "--family", "2B2", "--q", "8")
     assert code == 0 and out.strip() == "29120"

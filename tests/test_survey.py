@@ -286,3 +286,11 @@ def test_epsilon_q_searches_propagate_programming_errors(store, monkeypatch):
     with pytest.raises(TypeError):
         survey.exceptions_q_exceptional(Q0Table(rows={"2B2": 9}), thresholds,
                                         store.class_numbers, store.spectra)
+
+
+def test_prime_powers_below_matches_factorization():
+    from ordspectra import arith
+
+    powers = [m for m in range(2, 3001) if arith.prime_power_split(m) is not None]
+    for limit in range(0, 3001):
+        assert survey.prime_powers_below(limit) == [m for m in powers if m < limit], limit

@@ -28,6 +28,36 @@ def coprime_prime_power_partitions(n):
     return found
 
 
+def recursive_r_p_rows(n):
+    """r_{p_j}(k) for k = 1..n and primes p_j <= n by the recursion on the
+    smallest prime base (independent of the generating-function route):
+
+        r_p(k) = sum over e >= 1 with p**e <= k of
+                     ( 1                                    if k == p**e
+                       sum of r_l(k - p**e) over primes l > p   otherwise )
+    """
+    from ordspectra.arith import primes_up_to
+
+    primes = primes_up_to(n)
+    rows = []  # rows[k-1][j] = r_{p_j}(k)
+    suffix = []  # suffix[k-1][j] = sum of rows[k-1][j:]
+    for k in range(1, n + 1):
+        row = []
+        for j, p in enumerate(primes):
+            total = 0
+            power = p
+            while power <= k:
+                total += 1 if power == k else suffix[k - power - 1][j + 1]
+                power *= p
+            row.append(total)
+        rows.append(row)
+        suf = [0] * (len(primes) + 1)
+        for j in range(len(primes) - 1, -1, -1):
+            suf[j] = suf[j + 1] + row[j]
+        suffix.append(suf)
+    return primes, rows
+
+
 def test_matrix_base_cases():
     m1 = sp.partition_number_matrix(1)
     assert m1.rows == ((0,),)
@@ -102,6 +132,54 @@ def test_constants():
 def test_capacity_error_with_pinned_cap():
     with pytest.raises(CapacityError):
         sp.partition_number_matrix(30000, max_prime=25013)
+
+
+def test_capacity_error_with_warm_cache():
+    sp.nr_element_orders_sym(200)
+    with pytest.raises(CapacityError):
+        sp.partition_number_matrix(100, max_prime=50)
+    assert sp.partition_number_matrix(100, max_prime=100) == sp.partition_number_matrix(100)
+
+
+def test_matrix_matches_recursion_up_to_400():
+    primes, rows = recursive_r_p_rows(400)
+    for n in range(1, 401):
+        m = sp.partition_number_matrix(n)
+        width = sum(1 for p in primes if p <= n)
+        assert m.primes == tuple(primes[:width])
+        assert m.rows == tuple(tuple(row[:width]) or (0,) for row in rows[:n])
+
+
+def test_survey_sym_outputs_match_pinned(capsys):
+    import json
+    from pathlib import Path
+
+    from ordspectra import cli
+
+    pinned = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    with open(pinned, encoding="utf-8") as handle:
+        outputs = json.load(handle)["survey"]["cli"]
+    # largest first: the cached r(0..4599) then serves every other call
+    for n in reversed(range(4500, 4600)):
+        assert sp.nr_element_orders_sym(n) == int(outputs[f"sym omicron --n {n}"]), n
+    for top in range(2000, 2100):
+        command = f"sym constants --max {top} --argmax"
+        assert cli.main(command.split()) == 0
+        assert capsys.readouterr().out == outputs[command], top
+
+
+def test_element_orders_memory(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.setattr(sp._TABLE, "rows", [[1]])  # start from a cold cache
+    tracemalloc.start()
+    try:
+        sp.nr_element_orders_sym(1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sp._TABLE.rows[0]) == 1001
+    assert peak < 2_000_000
 
 
 def test_distinct_parts_counts():
