@@ -55,35 +55,33 @@ class ClassNumberProvider:
         return got
 
 
-def k_omega(provider: ClassNumberProvider, sign: int, n: int, q: int) -> int:
-    """k(Omega^sign_n(q)) from a direct entry or from sum/difference
-    entries via the exact linear reconstruction ((s+d)/2, (s-d)/2)."""
-    label = "OmegaPlus" if sign == 1 else "OmegaMinus"
+def _sum_difference(provider: ClassNumberProvider, kind: str, direct_labels: tuple[str, str],
+                    sign: int, n: int, q: int) -> int:
+    """k of the sign form of ``kind`` from a direct entry (labelled by
+    direct_labels[0] for plus, [1] for minus) or from the ``kind``Sum and
+    ``kind``Diff entries s and d via the exact linear reconstruction
+    ((s+d)/2, (s-d)/2)."""
+    label = direct_labels[0] if sign == 1 else direct_labels[1]
     direct = provider.lookup(label, n, q)
     if direct is not None:
         return direct
-    s = provider.lookup("OmegaSum", n, q)
-    d = provider.lookup("OmegaDiff", n, q)
+    s = provider.lookup(f"{kind}Sum", n, q)
+    d = provider.lookup(f"{kind}Diff", n, q)
     if s is not None and d is not None:
         if (s + d) % 2:
-            raise DomainError("Omega sum/difference entries have mixed parity")
+            raise DomainError(f"{kind} sum/difference entries have mixed parity")
         return (s + sign * d) // 2
     raise DataMissing(f"classnum {label} {n} {q}")
+
+
+def k_omega(provider: ClassNumberProvider, sign: int, n: int, q: int) -> int:
+    """k(Omega^sign_n(q)), with the sum/difference fallback."""
+    return _sum_difference(provider, "Omega", ("OmegaPlus", "OmegaMinus"), sign, n, q)
 
 
 def k_so(provider: ClassNumberProvider, sign: int, n: int, q: int) -> int:
-    """k(SO^sign_n(q)), with the same sum/difference fallback."""
-    label = "SOplus" if sign == 1 else "SOminus"
-    direct = provider.lookup(label, n, q)
-    if direct is not None:
-        return direct
-    s = provider.lookup("SOSum", n, q)
-    d = provider.lookup("SODiff", n, q)
-    if s is not None and d is not None:
-        if (s + d) % 2:
-            raise DomainError("SO sum/difference entries have mixed parity")
-        return (s + sign * d) // 2
-    raise DataMissing(f"classnum {label} {n} {q}")
+    """k(SO^sign_n(q)), with the sum/difference fallback."""
+    return _sum_difference(provider, "SO", ("SOplus", "SOminus"), sign, n, q)
 
 
 def class_number_exact(spec: LieSpec, provider: ClassNumberProvider) -> int:

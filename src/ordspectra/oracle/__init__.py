@@ -22,9 +22,16 @@ from .autos import (
     matrix_conjugation,
     nr_aut_orbits_from_maps,
 )
-from .build import DEFAULT_CAP, build_classical, expected_order, orthogonal_similitude
+from .build import (
+    DEFAULT_CAP,
+    build_classical,
+    expected_order,
+    gl_diagonal,
+    orthogonal_similitude,
+    unitary_diagonal,
+)
 from .ffield import get_field
-from .groups import SmallGroup, close_under_products, mat_identity
+from .groups import SmallGroup, close_under_products
 
 AUT_CAP = 100_000
 
@@ -91,55 +98,26 @@ def outer_maps_for(G: SmallGroup) -> list | None:
     """Outer automorphism generators for the named constructions, or None
     when no curated set is known."""
     kind = G.meta.get("kind")
-    if kind == "PSL":
+    if kind in ("PSL", "PSU", "PSp", "POmegaplus", "POmegaminus"):
         F = G.meta["field"]
         n = G.meta["n"]
-        maps = []
-        if math.gcd(n, F.q - 1) > 1:
-            diag = list(mat_identity(n))
-            diag[0] = F.generator
-            maps.append(matrix_conjugation(G, tuple(diag)))
-        if F.e > 1:
-            maps.append(field_automorphism(G))
-        if n >= 3:
+        # F.e > 1 for every PSU: its matrices are over F(q0**2)
+        maps = [field_automorphism(G)] if F.e > 1 else []
+        if kind == "PSL" and math.gcd(n, F.q - 1) > 1:
+            maps.append(matrix_conjugation(G, gl_diagonal(F, n)))
+        if kind == "PSL" and n >= 3:
             maps.append(duality_automorphism(G))
-        return maps
-    if kind == "PSU":
-        F = G.meta["field"]
-        n = G.meta["n"]
-        half = F.e // 2
-        q0 = F.p**half
-        maps = []
-        if math.gcd(n, q0 + 1) > 1:
-            diag = list(mat_identity(n))
-            diag[0] = F.generator
-            diag[(n - 1) * n + (n - 1)] = F.inv[F.conj(F.generator, half)]
-            maps.append(matrix_conjugation(G, tuple(diag)))
-        maps.append(field_automorphism(G))
-        return maps
-    if kind == "PSp":
-        F = G.meta["field"]
-        n = G.meta["n"]
-        maps = []
-        if F.q % 2 == 1:
-            m = n // 2
-            sim = list(mat_identity(n))
-            for i in range(m, n):
-                sim[i * n + i] = F.generator
-            maps.append(matrix_conjugation(G, tuple(sim)))
-        if F.e > 1:
-            maps.append(field_automorphism(G))
-        return maps
-    if kind in ("POmegaplus", "POmegaminus"):
-        # the parent generators are the recipe of the ambient orthogonal
-        # group acting on the same projective points
-        F = G.meta["field"]
-        maps = [conjugation_map(pg) for pg in G.meta["parent_gens"]]
-        if F.q % 2 == 1:
-            sign = 1 if kind == "POmegaplus" else -1
-            maps.append(matrix_conjugation(G, orthogonal_similitude(F, G.meta["n"], sign)))
-        if F.e > 1:
-            maps.append(field_automorphism(G))
+        if kind == "PSU" and math.gcd(n, F.p ** (F.e // 2) + 1) > 1:
+            maps.append(matrix_conjugation(G, unitary_diagonal(F, n)))
+        if kind.startswith("POmega"):
+            # the parent generators are the recipe of the ambient orthogonal
+            # group acting on the same projective points
+            maps += [conjugation_map(pg) for pg in G.meta["parent_gens"]]
+        if kind not in ("PSL", "PSU") and F.q % 2 == 1:
+            # similitude with non-square multiplier; the plus-type one
+            # scales the symplectic form too
+            sign = -1 if kind == "POmegaminus" else 1
+            maps.append(matrix_conjugation(G, orthogonal_similitude(F, n, sign)))
         return maps
     if kind == "Alt":
         n = G.meta["n"]

@@ -7,8 +7,10 @@ are explicit: field automorphisms act entrywise on matrix coordinates
 conjugations by elements of the ambient isometry/similitude group, and
 the duality automorphism of PSL_n uses inverse-transpose on stored
 matrix witnesses.  For tiny arbitrary groups a generic backtrack over
-generator images enumerates the full automorphism group.  Failures
-raise; nothing is approximated silently.
+generator images enumerates the full automorphism group: each complete
+choice of images is extended in one breadth-first pass over the Cayley
+graph, which checks every edge as it goes.  Failures raise; nothing is
+approximated silently.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from .groups import (
     Perm,
     SmallGroup,
     close_under_products,
-    mat_apply,
     mat_inverse,
     mat_transpose,
-    normalize,
+    matrices_to_perms,
     perm_compose,
     perm_inverse,
     perm_order,
@@ -39,41 +40,25 @@ def conjugation_map(pi: Perm) -> AutoMap:
     return lambda g: perm_compose(perm_compose(pi_inv, g), pi)
 
 
-def point_relabel_map(G: SmallGroup, relabel: Callable) -> AutoMap:
-    """Automorphism induced by a permutation of the underlying points
-    (e.g. a semilinear map normalizing the group)."""
+def field_automorphism(G: SmallGroup) -> AutoMap:
+    """Entrywise x -> x**p on coordinates.  It fixes 0 and 1, so it maps
+    normalized projective points to normalized points; conjugation by
+    the permutation it induces on the points is the automorphism."""
+    F: Fq = G.meta["field"]
     points = G.meta["points"]
     index = {pt: i for i, pt in enumerate(points)}
-    pi = tuple(index[relabel(pt)] for pt in points)
-    return conjugation_map(pi)
+    return conjugation_map(tuple(index[tuple(F.frob[x] for x in pt)] for pt in points))
 
 
-def field_automorphism(G: SmallGroup) -> AutoMap:
-    """Entrywise x -> x**p on coordinates, projectively normalized."""
-    F: Fq = G.meta["field"]
-    projective = G.meta["projective"]
-
-    def relabel(pt):
-        w = tuple(F.frob[x] for x in pt)
-        return normalize(F, w) if projective else w
-
-    return point_relabel_map(G, relabel)
+def _point_perm(G: SmallGroup, mat: Matrix) -> Perm:
+    meta = G.meta
+    return matrices_to_perms(meta["field"], meta["n"], [mat], meta["points"],
+                             meta["projective"])[0]
 
 
 def matrix_conjugation(G: SmallGroup, mat: Matrix) -> AutoMap:
     """Conjugation by an explicit ambient matrix (point permutation)."""
-    F: Fq = G.meta["field"]
-    n = G.meta["n"]
-    projective = G.meta["projective"]
-    points = G.meta["points"]
-    index = {pt: i for i, pt in enumerate(points)}
-    images = []
-    for pt in points:
-        w = mat_apply(F, n, mat, pt)
-        if projective:
-            w = normalize(F, w)
-        images.append(index[w])
-    return conjugation_map(tuple(images))
+    return conjugation_map(_point_perm(G, mat))
 
 
 def duality_automorphism(G: SmallGroup) -> AutoMap:
@@ -82,19 +67,7 @@ def duality_automorphism(G: SmallGroup) -> AutoMap:
         raise AutGenerationFailed("duality needs matrix witnesses")
     F: Fq = G.meta["field"]
     n = G.meta["n"]
-    points = G.meta["points"]
-    index = {pt: i for i, pt in enumerate(points)}
-
-    def act(perm: Perm) -> Perm:
-        m = G.witnesses[perm]
-        dual = mat_transpose(n, mat_inverse(F, n, m))
-        images = []
-        for pt in points:
-            w = normalize(F, mat_apply(F, n, dual, pt))
-            images.append(index[w])
-        return tuple(images)
-
-    return act
+    return lambda perm: _point_perm(G, mat_transpose(n, mat_inverse(F, n, G.witnesses[perm])))
 
 
 def nr_aut_orbits_from_maps(G: SmallGroup, outer_maps: list[AutoMap]) -> int:
@@ -124,23 +97,24 @@ def nr_aut_orbits_from_maps(G: SmallGroup, outer_maps: list[AutoMap]) -> int:
 # generic automorphism search for tiny groups
 
 
-def _generating_sequence(G: SmallGroup) -> list[Perm]:
-    """The elements, in sorted order, that are not in the group generated
-    by the ones before them."""
-    return close_under_products(sorted(G.elements), G.degree)[0]
-
-
 def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
     """All automorphisms of a tiny group, as element->element dicts.
 
-    Backtracks over images of a generating sequence, using order and
-    class-size invariants to prune, then verifies multiplicativity on
-    the whole Cayley closure.
+    Backtracks over images of a generating sequence (the sorted elements
+    not in the group generated by the ones before them), pruning by
+    Aut-invariant signatures and by the orders of pairwise products.
+    Each complete choice of images is extended in one breadth-first pass
+    along x -> x*g_i: the first edge into y sets phi(y) = phi(x)*image_i,
+    every later edge checks that equation, and the candidate is dropped
+    at the first mismatch.  A map that passes every edge is a
+    homomorphism; it is kept when it is also a bijection.  Keys and
+    values are the group's own element objects.
     """
     if G.order > max_order:
         raise AutGenerationFailed(f"group too large ({G.order}) for generic search")
-    identity = tuple(range(G.degree))
-    gens = _generating_sequence(G)
+    own = {e: e for e in G.elements}
+    identity = own[tuple(range(G.degree))]
+    gens = close_under_products(sorted(G.elements), G.degree)[0]
     class_of, reps = G.conjugacy_classes()
     class_size = [0] * len(reps)
     for e in G.elements:
@@ -158,59 +132,35 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
                 powers.append((j, class_size[class_of[x]]))
         return (order, class_size[class_of[e]], tuple(powers))
 
+    signature_of = {e: signature(e) for e in G.elements}
     candidates = [
-        [e for e in G.elements if signature(e) == signature(g)] for g in gens
+        [e for e in G.elements if signature_of[e] == signature_of[g]] for g in gens
     ]
-
-    # derivation DAG: every element as parent*gen
-    parent_of: dict[Perm, tuple[Perm, int]] = {}
-    frontier = [identity]
-    seen = {identity}
-    while frontier:
-        new_frontier = []
-        for cur in frontier:
-            for idx, g in enumerate(gens):
-                nxt = perm_compose(cur, g)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent_of[nxt] = (cur, idx)
-                    new_frontier.append(nxt)
-        frontier = new_frontier
-
-    elements = list(G.elements)
     autos = []
 
-    def build_map(images: list[Perm]):
+    def extend(images: list[Perm]):
         phi = {identity: identity}
-
-        def resolve(e: Perm) -> Perm:
-            stack = []
-            while e not in phi:
-                stack.append(e)
-                e = parent_of[e][0]
-            val = phi[e]
-            while stack:
-                e = stack.pop()
-                par, idx = parent_of[e]
-                val = perm_compose(phi[par], images[idx])
-                phi[e] = val
-            return val
-
-        for e in elements:
-            resolve(e)
-        # verify: phi(x * g_i) == phi(x) * images[i] for all x, i
-        for x in elements:
-            px = phi[x]
-            for idx, g in enumerate(gens):
-                if phi[perm_compose(x, g)] != perm_compose(px, images[idx]):
-                    return None
-        if len(set(phi.values())) != len(elements):
+        frontier = [identity]
+        while frontier:
+            new_frontier = []
+            for x in frontier:
+                px = phi[x]
+                for g, image in zip(gens, images):
+                    y = own[perm_compose(x, g)]
+                    py = own[perm_compose(px, image)]
+                    if y not in phi:
+                        phi[y] = py
+                        new_frontier.append(y)
+                    elif phi[y] != py:
+                        return None
+            frontier = new_frontier
+        if len(set(phi.values())) != len(phi):
             return None
         return phi
 
     def backtrack(pos: int, chosen: list[Perm]):
         if pos == len(gens):
-            phi = build_map(chosen)
+            phi = extend(chosen)
             if phi is not None:
                 autos.append(phi)
             return
@@ -235,21 +185,7 @@ def generic_nr_aut_orbits(G: SmallGroup, max_order: int = 10_000) -> int:
     autos = enumerate_automorphisms(G, max_order)
     if not autos:
         raise AutGenerationFailed("no automorphisms found (bug)")
-    class_of, reps = G.conjugacy_classes()
-    parent = list(range(len(reps)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for phi in autos:
-        for cid, rep in enumerate(reps):
-            a, b = find(cid), find(class_of[phi[rep]])
-            if a != b:
-                parent[a] = b
-    return len({find(i) for i in range(len(reps))})
+    return nr_aut_orbits_from_maps(G, [phi.__getitem__ for phi in autos])
 
 
 def generic_aut_order(G: SmallGroup, max_order: int = 10_000) -> int:

@@ -113,10 +113,13 @@ def _gl_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
             gens.append(_elementary(F, n, i, i + 1, v))
             gens.append(_elementary(F, n, i + 1, i, v))
     if not special and F.q > 2:
-        diag = list(mat_identity(n))
-        diag[0] = F.generator
-        gens.append(tuple(diag))
+        gens.append(gl_diagonal(F, n))
     return gens
+
+
+def gl_diagonal(F: Fq, n: int) -> Matrix:
+    """diag(lam, 1, ..., 1), lam the field generator: it extends SL to GL."""
+    return _elementary(F, n, 0, 0, F.generator)
 
 
 def _sp_gens(F: Fq, n: int) -> list[Matrix]:
@@ -159,11 +162,7 @@ def _unitary_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
                 cols.append([F.add[basis[k]][F.mul[coeff][v[k]]] for k in range(n)])
             gens.append(_cols_to_matrix(cols, n))
     if not special:
-        alpha = F.generator
-        diag = list(mat_identity(n))
-        diag[0] = alpha
-        diag[(n - 1) * n + (n - 1)] = F.inv[F.conj(alpha, half)]
-        gens.append(tuple(diag))
+        gens.append(unitary_diagonal(F, n))
         if n % 2 == 1:
             beta = 1
             for _ in range(q0 - 1):
@@ -174,6 +173,14 @@ def _unitary_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
             gens.append(tuple(diag2))
     gens.extend(_unitary_root_elements(F, n, half))
     return gens
+
+
+def unitary_diagonal(F: Fq, n: int) -> Matrix:
+    """diag(alpha, 1, ..., 1, conj(alpha)**-1), alpha the generator of
+    F(q0**2): an isometry of the hermitian form that extends SU to GU."""
+    diag = list(gl_diagonal(F, n))
+    diag[n * n - 1] = F.inv[F.conj(F.generator, F.e // 2)]
+    return tuple(diag)
 
 
 def _unitary_root_elements(F: Fq, n: int, half: int) -> list[Matrix]:
@@ -244,7 +251,8 @@ def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
 
 def orthogonal_similitude(F: Fq, n: int, sign: int) -> Matrix:
     """A similitude of the even-dimensional form with multiplier the field
-    generator lam: diag(1^m, lam^m) on the plus form.  On the minus form
+    generator lam: diag(1^m, lam^m) on the plus form, which scales the
+    symplectic form by lam as well.  On the minus form
     it scales the hyperbolic pairs the same way and takes, on the middle
     plane, the first 2x2 block in lexicographic order that scales
     x**2 + a x y + b y**2 by lam."""

@@ -63,17 +63,20 @@ def _prime_power_product(n: int, columns: dict[int, list[int]] | None = None) ->
     return r
 
 
-#: r(0..n) for the largest n asked for so far, as the single row of
-#: ``_TABLE.rows``; r(k) does not depend on n, so smaller n read a prefix.
+#: r(0..m) as the single row of ``_TABLE.rows``; r(k) does not depend on
+#: m, so every n <= m reads a prefix.
 _TABLE = SimpleNamespace(rows=[[1]])
 
 
 def _r_values(n: int) -> list[int]:
+    """r(0..m) for some m >= n.  A larger n rebuilds the list to at least
+    twice its length, so n rising one by one rebuilds it O(log n) times."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if len(_TABLE.rows[0]) <= n:
-        _TABLE.rows[0] = _prime_power_product(n)
-    return _TABLE.rows[0]
+    row = _TABLE.rows[0]
+    if len(row) <= n:
+        _TABLE.rows[0] = row = _prime_power_product(max(n, 2 * len(row)))
+    return row
 
 
 def partition_number_matrix(n: int, max_prime: int | None = None) -> PartitionNumberMatrix:

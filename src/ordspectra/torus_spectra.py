@@ -619,9 +619,6 @@ def exceptional_semisimple(spec: LieSpec, provider: SpectrumProvider | None = No
     family = spec.family
     if family not in EXCEPTIONAL_RANK:
         raise DomainError(f"{family} is not an exceptional family")
-    if family == "2B2":
-        full = suzuki_spectrum(spec.Q)
-        return OrderSet.from_iterable(v for v in full.values if v % 2 == 1)
     if family == "E8":
         if provider is not None:
             got = provider.get(family, spec.Q)

@@ -102,9 +102,19 @@ def test_sum_difference_reconstruction():
     assert cn.k_omega(provider, -1, 8, 2) == 45
     assert cn.k_so(provider, +1, 8, 3) == 34
     assert cn.k_so(provider, -1, 8, 3) == 27
-    bad = provider_with([("OmegaSum", 8, 2, 100), ("OmegaDiff", 8, 2, 9)])
-    with pytest.raises(DomainError):
+    bad = provider_with([("OmegaSum", 8, 2, 100), ("OmegaDiff", 8, 2, 9),
+                         ("SOSum", 8, 3, 61), ("SODiff", 8, 3, 8)])
+    with pytest.raises(DomainError) as excinfo:
         cn.k_omega(bad, +1, 8, 2)
+    assert str(excinfo.value) == "Omega sum/difference entries have mixed parity"
+    with pytest.raises(DomainError) as excinfo:
+        cn.k_so(bad, -1, 8, 3)
+    assert str(excinfo.value) == "SO sum/difference entries have mixed parity"
+    for k, sign, label in ((cn.k_omega, +1, "OmegaPlus"), (cn.k_omega, -1, "OmegaMinus"),
+                           (cn.k_so, +1, "SOplus"), (cn.k_so, -1, "SOminus")):
+        with pytest.raises(DataMissing) as excinfo:
+            k(provider, sign, 10, 5)
+        assert str(excinfo.value) == f"missing data: classnum {label} 10 5"
 
 
 def test_dominance_where_oracle_known(store, get_group):

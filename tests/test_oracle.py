@@ -173,6 +173,38 @@ def test_generic_aut_order_on_known_groups():
     assert oracle.generic_aut_order(c6) == 2
 
 
+@pytest.mark.parametrize("group, aut_order", [
+    (lambda: oracle.build_symmetric(4), 24),
+    (lambda: oracle.build_alternating(4), 24),
+    (lambda: oracle.build_alternating(5), 120),
+    (lambda: oracle.build_symmetric(5), 120),
+    (lambda: oracle.build_cyclic(12), 4),
+    (lambda: oracle.build_classical("SL", 2, 3), 24),
+], ids=["S4", "A4", "A5", "S5", "C12", "SL(2,3)"])
+def test_enumerated_maps_are_automorphisms(group, aut_order):
+    """Every map is a bijective homomorphism, checked on all pairs, and
+    distinct maps are distinct automorphisms."""
+    G = group()
+    elements = sorted(G.elements)
+    index = {e: i for i, e in enumerate(elements)}
+    mul = [[index[perm_compose(a, b)] for b in elements] for a in elements]
+    autos = oracle.enumerate_automorphisms(G)
+    images = {tuple(index[phi[e]] for e in elements) for phi in autos}
+    assert len(autos) == len(images) == aut_order
+    pairs = [(a, b) for a in range(len(elements)) for b in range(len(elements))]
+    for phi in images:
+        assert sorted(phi) == list(range(len(elements)))
+        assert all(phi[mul[a][b]] == mul[phi[a]][phi[b]] for a, b in pairs)
+
+
+def test_generic_aut_orbits_match_curated_maps(get_group):
+    groups = [get_group("PSL", 2, q) for q in (4, 5, 7)] + [get_group("PSL", 3, 2)]
+    groups += [oracle.build_alternating(4), oracle.build_alternating(5)]
+    for G in groups:
+        assert oracle.outer_maps_for(G) is not None
+        assert oracle.generic_nr_aut_orbits(G) == oracle.nr_aut_orbits(G), G.meta
+
+
 def test_semisimple_orders(get_group):
     psp43 = get_group("PSp", 4, 3)
     assert oracle.semisimple_orders(psp43, 3).values == (1, 2, 4, 5)

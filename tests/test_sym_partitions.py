@@ -182,6 +182,21 @@ def test_element_orders_memory(monkeypatch):
     assert peak < 2_000_000
 
 
+def test_rising_n_rebuilds_logarithmically(monkeypatch):
+    builds = []
+    product = sp._prime_power_product
+
+    def counted(n, *args):
+        builds.append(n)
+        return product(n, *args)
+
+    monkeypatch.setattr(sp._TABLE, "rows", [[1]])
+    monkeypatch.setattr(sp, "_prime_power_product", counted)
+    totals = [sp.nr_element_orders_sym(n) for n in range(100, 200)]
+    assert builds == [100, 202]
+    assert totals == [sum(product(n)) for n in range(100, 200)]
+
+
 def test_distinct_parts_counts():
     assert sp.distinct_parts_partition_count(0) == 1
     assert sp.distinct_parts_partition_count(5) == 3

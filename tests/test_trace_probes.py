@@ -34,3 +34,20 @@ def test_install_probes_wraps_and_restores():
         tracer.uninstall()
     assert (survey.exceptions_omega, survey.prime_powers_below,
             bounds.epsilon_q_lower, bounds.group_order) == originals
+
+
+def test_aut_probes_record_calls():
+    from ordspectra import oracle
+
+    tracing = _load_tracing()
+    originals = (oracle.nr_aut_orbits, oracle.generic_nr_aut_orbits)
+    tracer = tracing.Tracer(time.perf_counter)
+    try:
+        tracing.install_probes(tracer)
+        a5 = oracle.build_alternating(5)
+        assert oracle.nr_aut_orbits(a5) == oracle.generic_nr_aut_orbits(a5) == 4
+        assert tracer.calls("oracle.aut") == 1
+        assert tracer.calls("oracle.generic_aut") == 1
+    finally:
+        tracer.uninstall()
+    assert (oracle.nr_aut_orbits, oracle.generic_nr_aut_orbits) == originals
