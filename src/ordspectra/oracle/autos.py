@@ -28,6 +28,7 @@ from .groups import (
     mat_transpose,
     matrices_to_perms,
     perm_compose,
+    perm_getter,
     perm_inverse,
     perm_order,
 )
@@ -36,8 +37,8 @@ AutoMap = Callable[[Perm], Perm]
 
 
 def conjugation_map(pi: Perm) -> AutoMap:
-    pi_inv = perm_inverse(pi)
-    return lambda g: perm_compose(perm_compose(pi_inv, g), pi)
+    pi_inv_then = perm_getter(perm_inverse(pi))
+    return lambda g: pi_inv_then(perm_compose(g, pi))
 
 
 def field_automorphism(G: SmallGroup) -> AutoMap:
@@ -106,9 +107,10 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
     Each complete choice of images is extended in one breadth-first pass
     along x -> x*g_i: the first edge into y sets phi(y) = phi(x)*image_i,
     every later edge checks that equation, and the candidate is dropped
-    at the first mismatch.  A map that passes every edge is a
-    homomorphism; it is kept when it is also a bijection.  Keys and
-    values are the group's own element objects.
+    at the first mismatch.  The edges themselves are walked once per
+    search; only phi(x)*image_i depends on the candidate.  A map that
+    passes every edge is a homomorphism; it is kept when it is also a
+    bijection.  Keys and values are the group's own element objects.
     """
     if G.order > max_order:
         raise AutGenerationFailed(f"group too large ({G.order}) for generic search")
@@ -119,15 +121,18 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
     class_size = [0] * len(reps)
     for e in G.elements:
         class_size[class_of[e]] += 1
+    class_order = [perm_order(rep) for rep in reps]
+    order_of = {e: class_order[class_of[e]] for e in G.elements}
 
     def signature(e: Perm):
         # order, class size, and the class sizes of the power map images:
         # all Aut-invariant, and cheap enough for tiny groups
-        order = perm_order(e)
+        order = order_of[e]
+        e_then = perm_getter(e)
         powers = []
         x = e
         for j in range(2, order):
-            x = perm_compose(x, e)
+            x = e_then(x)
             if order % j == 0:
                 powers.append((j, class_size[class_of[x]]))
         return (order, class_size[class_of[e]], tuple(powers))
@@ -136,47 +141,58 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
     candidates = [
         [e for e in G.elements if signature_of[e] == signature_of[g]] for g in gens
     ]
+    # orders of g_j * g_pos for j < pos, which each choice must reproduce
+    pair_orders = [[order_of[perm_compose(prev, g)] for prev in gens[:pos]]
+                   for pos, g in enumerate(gens)]
+    # the Cayley graph in breadth-first order: each x with, per generator,
+    # y = x*g_i and whether this edge is the first one into y
+    steps = []
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            x_then = perm_getter(x)
+            targets = []
+            for g in gens:
+                y = own[x_then(g)]
+                first = y not in seen
+                targets.append((y, first))
+                if first:
+                    seen.add(y)
+                    new_frontier.append(y)
+            steps.append((x, targets))
+        frontier = new_frontier
     autos = []
 
     def extend(images: list[Perm]):
         phi = {identity: identity}
-        frontier = [identity]
-        while frontier:
-            new_frontier = []
-            for x in frontier:
-                px = phi[x]
-                for g, image in zip(gens, images):
-                    y = own[perm_compose(x, g)]
-                    py = own[perm_compose(px, image)]
-                    if y not in phi:
-                        phi[y] = py
-                        new_frontier.append(y)
-                    elif phi[y] != py:
-                        return None
-            frontier = new_frontier
+        for x, targets in steps:
+            px_then = perm_getter(phi[x])
+            for image, (y, first) in zip(images, targets):
+                py = own[px_then(image)]
+                if first:
+                    phi[y] = py
+                elif phi[y] != py:
+                    return None
         if len(set(phi.values())) != len(phi):
             return None
         return phi
 
-    def backtrack(pos: int, chosen: list[Perm]):
+    def backtrack(pos: int, chosen: list[Perm], chosen_then: list):
         if pos == len(gens):
             phi = extend(chosen)
             if phi is not None:
                 autos.append(phi)
             return
+        need = pair_orders[pos]
         for cand in candidates[pos]:
             # cheap pairwise invariant: orders of products must match
-            ok = True
-            for prev_g, prev_c in zip(gens[:pos], chosen):
-                if perm_order(perm_compose(prev_g, gens[pos])) != perm_order(
-                    perm_compose(prev_c, cand)
-                ):
-                    ok = False
-                    break
-            if ok:
-                backtrack(pos + 1, chosen + [cand])
+            if all(order_of[prev_then(cand)] == order
+                   for prev_then, order in zip(chosen_then, need)):
+                backtrack(pos + 1, chosen + [cand], chosen_then + [perm_getter(cand)])
 
-    backtrack(0, [])
+    backtrack(0, [], [])
     return autos
 
 

@@ -6,6 +6,14 @@ quotients act on normalized projective points (first nonzero coordinate
 scaled to 1).  Closures adjoin the generators one at a time by
 breadth-first products, so everything is deterministic.
 
+A permutation is the tuple of images of 0..degree-1, and products read
+left to right: ``perm_compose(a, b)`` applies a first, then b, so its
+entry i is b[a[i]].  That is ``operator.itemgetter(*a)(b)``; the getter
+of a is built once by ``perm_getter`` and reused across every b in the
+hot loops.  At degree 1 (trivial groups such as PSL(1, q) or Sym(1))
+``itemgetter`` with one index returns a scalar, not a tuple, so
+``perm_getter`` builds a tuple there itself.
+
 Fixed forms (documented so constructions are reproducible bit for bit):
 
 * symplectic: B(x, y) = sum over i < n/2 of x_i y_(n-1-i) - x_(n-1-i) y_i;
@@ -21,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from ..errors import CapExceeded, DomainError
 from ..torus_spectra import OrderSet
@@ -34,9 +44,16 @@ Matrix = tuple[int, ...]  # row-major, n*n field codes
 # permutations
 
 
+def perm_getter(a: Perm) -> Callable[[Perm], Perm]:
+    """The map b -> perm_compose(a, b)."""
+    if len(a) < 2:
+        return lambda b: tuple(b[x] for x in a)
+    return itemgetter(*a)
+
+
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """Apply a first, then b."""
-    return tuple(b[x] for x in a)
+    return perm_getter(a)(b)
 
 
 def perm_inverse(a: Perm) -> Perm:
@@ -253,8 +270,7 @@ class SmallGroup:
         return len(self.elements)
 
     def element_orders(self) -> OrderSet:
-        if self.order <= 100_000:
-            return OrderSet.from_iterable(perm_order(g) for g in self.elements)
+        """Orders are constant on conjugacy classes: one per representative."""
         return OrderSet.from_iterable(
             perm_order(rep) for rep in self.class_representatives()
         )
@@ -266,7 +282,8 @@ class SmallGroup:
         """(element -> class index, class representatives)."""
         if getattr(self, "_classes", None) is not None:
             return self._classes
-        gen_pairs = [(g, perm_inverse(g)) for g in self.gens]
+        # g^-1 x g = perm_compose(g^-1, perm_compose(x, g))
+        conjugators = [(perm_getter(perm_inverse(g)), g) for g in self.gens]
         class_of: dict[Perm, int] = {}
         reps: list[Perm] = []
         for e in self.elements:
@@ -277,9 +294,9 @@ class SmallGroup:
             frontier = [e]
             class_of[e] = cid
             while frontier:
-                x = frontier.pop()
-                for g, ginv in gen_pairs:
-                    y = perm_compose(perm_compose(ginv, x), g)
+                x_then = perm_getter(frontier.pop())
+                for ginv_then, g in conjugators:
+                    y = ginv_then(x_then(g))
                     if y not in class_of:
                         class_of[y] = cid
                         frontier.append(y)
@@ -329,8 +346,9 @@ def close_under_products(gens, degree: int, gen_mats=None, field_obj=None,
         while frontier:
             new_frontier = []
             for cur in frontier:
+                cur_then = perm_getter(cur)
                 for h, h_mat in step:
-                    nxt = perm_compose(cur, h)
+                    nxt = cur_then(h)
                     if nxt not in elements:
                         elements.add(nxt)
                         if limit is not None and len(elements) > limit:
