@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds, survey, sym_partitions
-from .class_numbers import class_number_exact, class_number_lower_bound
+from .class_numbers import EXACT_K_FAMILIES, class_number_exact, class_number_lower_bound
 from .data import DataStore, default_store, load_data
 from .errors import (
     DataMissing,
@@ -151,8 +151,6 @@ def _run_lie(args, store: DataStore) -> list[dict]:
     if args.lie_cmd == "outdiag":
         return [{"outdiag": outdiag_order(spec)}]
     if args.lie_cmd == "k":
-        from .class_numbers import EXACT_K_FAMILIES
-
         if args.level is None and spec.family in ("A", "2A", "B") + EXACT_K_FAMILIES:
             return [{"k": class_number_exact(spec, store.class_numbers)}]
         return [{"k_bound": class_number_lower_bound(

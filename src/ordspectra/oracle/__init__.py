@@ -61,7 +61,7 @@ def build_symmetric(n: int) -> SmallGroup:
     gens = [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
     if n == 1:
         gens = [tuple(range(1))]
-    _, elements, _ = close_under_products(gens, n)
+    _, elements = close_under_products(gens, n)
     g = SmallGroup(degree=n, gens=gens, elements=elements)
     g.meta = {"kind": "Sym", "n": n}
     return g
@@ -76,7 +76,7 @@ def build_alternating(n: int) -> SmallGroup:
             img = list(range(n))
             img[i], img[i + 1], img[i + 2] = img[i + 1], img[i + 2], img[i]
             gens.append(tuple(img))
-    _, elements, _ = close_under_products(gens, max(n, 1))
+    _, elements = close_under_products(gens, max(n, 1))
     g = SmallGroup(degree=max(n, 1), gens=gens, elements=elements)
     g.meta = {"kind": "Alt", "n": n}
     return g
@@ -84,7 +84,7 @@ def build_alternating(n: int) -> SmallGroup:
 
 def build_cyclic(n: int) -> SmallGroup:
     gens = [tuple(list(range(1, n)) + [0])]
-    _, elements, _ = close_under_products(gens, n)
+    _, elements = close_under_products(gens, n)
     g = SmallGroup(degree=n, gens=gens, elements=elements)
     g.meta = {"kind": "Cyclic", "n": n}
     return g
@@ -123,6 +123,8 @@ def outer_maps_for(G: SmallGroup) -> list | None:
         n = G.meta["n"]
         if n == 6:
             return None  # the exceptional automorphism is not realized here
+        if G.degree < 2:
+            return []  # one point (Alt(1)): nothing to swap
         img = list(range(G.degree))
         img[0], img[1] = img[1], img[0]
         return [conjugation_map(tuple(img))]

@@ -5,12 +5,12 @@ outer automorphisms.  For the named simple groups the outer generators
 are explicit: field automorphisms act entrywise on matrix coordinates
 (hence permute the underlying points), diagonal automorphisms are
 conjugations by elements of the ambient isometry/similitude group, and
-the duality automorphism of PSL_n uses inverse-transpose on stored
-matrix witnesses.  For tiny arbitrary groups a generic backtrack over
-generator images enumerates the full automorphism group: each complete
-choice of images is extended in one breadth-first pass over the Cayley
-graph, which checks every edge as it goes.  Failures raise; nothing is
-approximated silently.
+the duality automorphism of PSL_n (inverse-transpose) is read off how
+each point permutation moves the hyperplanes.  For tiny arbitrary
+groups a generic backtrack over generator images enumerates the full
+automorphism group: each complete choice of images is extended in one
+breadth-first pass over the Cayley graph, which checks every edge as it
+goes.  Failures raise; nothing is approximated silently.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .groups import (
     Matrix,
     Perm,
     SmallGroup,
+    bilinear,
     close_under_products,
-    mat_inverse,
-    mat_transpose,
+    mat_identity,
     matrices_to_perms,
     perm_compose,
     perm_getter,
@@ -51,24 +51,27 @@ def field_automorphism(G: SmallGroup) -> AutoMap:
     return conjugation_map(tuple(index[tuple(F.frob[x] for x in pt)] for pt in points))
 
 
-def _point_perm(G: SmallGroup, mat: Matrix) -> Perm:
-    meta = G.meta
-    return matrices_to_perms(meta["field"], meta["n"], [mat], meta["points"],
-                             meta["projective"])[0]
-
-
 def matrix_conjugation(G: SmallGroup, mat: Matrix) -> AutoMap:
     """Conjugation by an explicit ambient matrix (point permutation)."""
-    return conjugation_map(_point_perm(G, mat))
+    meta = G.meta
+    return conjugation_map(matrices_to_perms(meta["field"], meta["n"], [mat],
+                                             meta["points"], meta["projective"])[0])
 
 
 def duality_automorphism(G: SmallGroup) -> AutoMap:
-    """g -> inverse-transpose(g), computed through matrix witnesses."""
-    if G.witnesses is None:
-        raise AutGenerationFailed("duality needs matrix witnesses")
+    """g -> inverse-transpose(g) on PSL_n, from the point permutation alone.
+
+    g maps the hyperplane {x : w^T x = 0} of the point w onto the
+    hyperplane of g^-T w.  So the image of g sends the point w to the
+    point whose hyperplane is g's image of the hyperplane of w."""
     F: Fq = G.meta["field"]
     n = G.meta["n"]
-    return lambda perm: _point_perm(G, mat_transpose(n, mat_inverse(F, n, G.witnesses[perm])))
+    points = G.meta["points"]
+    dot = mat_identity(n)
+    hyperplanes = [frozenset(i for i, x in enumerate(points) if not bilinear(F, n, dot, w, x))
+                   for w in points]
+    point_of = {h: i for i, h in enumerate(hyperplanes)}
+    return lambda perm: tuple(point_of[frozenset(perm[i] for i in h)] for h in hyperplanes)
 
 
 def nr_aut_orbits_from_maps(G: SmallGroup, outer_maps: list[AutoMap]) -> int:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from .. import arith
 from ..errors import CapExceeded, DomainError
-from .ffield import Fq, get_field
+from .ffield import Fq, get_field, pow_elem
 from .groups import (
     Matrix,
     SmallGroup,
@@ -92,15 +93,21 @@ def expected_order(kind: str, n: int, q: int) -> int:
 # generator matrices
 
 
-def _elementary(F: Fq, n: int, i: int, j: int, value: int) -> Matrix:
+def _elementary(n: int, i: int, j: int, value: int) -> Matrix:
     m = list(mat_identity(n))
     m[i * n + j] = value
     return tuple(m)
 
 
-def _cols_to_matrix(cols: list[list[int]], n: int) -> Matrix:
-    """cols[i] is the image of the i-th basis vector."""
-    return tuple(cols[j][i] for i in range(n) for j in range(n))
+def _rank_one(F: Fq, n: int, v, coeff) -> Matrix:
+    """x -> x + coeff(x)*v for a linear functional coeff: column i is
+    e_i + coeff(e_i)*v."""
+    m = list(mat_identity(n))
+    for i in range(n):
+        c = coeff(tuple(1 if k == i else 0 for k in range(n)))
+        for k in range(n):
+            m[k * n + i] = F.add[m[k * n + i]][F.mul[c][v[k]]]
+    return tuple(m)
 
 
 def _gl_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
@@ -110,8 +117,8 @@ def _gl_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
         values.append(F.generator)
     for i in range(n - 1):
         for v in values:
-            gens.append(_elementary(F, n, i, i + 1, v))
-            gens.append(_elementary(F, n, i + 1, i, v))
+            gens.append(_elementary(n, i, i + 1, v))
+            gens.append(_elementary(n, i + 1, i, v))
     if not special and F.q > 2:
         gens.append(gl_diagonal(F, n))
     return gens
@@ -119,7 +126,7 @@ def _gl_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
 
 def gl_diagonal(F: Fq, n: int) -> Matrix:
     """diag(lam, 1, ..., 1), lam the field generator: it extends SL to GL."""
-    return _elementary(F, n, 0, 0, F.generator)
+    return _elementary(n, 0, 0, F.generator)
 
 
 def _sp_gens(F: Fq, n: int) -> list[Matrix]:
@@ -128,16 +135,8 @@ def _sp_gens(F: Fq, n: int) -> list[Matrix]:
     vectors = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     vectors += [tuple(1 if k in (0, i) else 0 for k in range(n)) for i in range(1, n)]
     values = [1] + ([F.generator] if F.q > 2 else [])
-    gens = []
-    for v in vectors:
-        for lam in values:
-            cols = []
-            for i in range(n):
-                basis = tuple(1 if k == i else 0 for k in range(n))
-                coeff = F.mul[lam][bilinear(F, n, gram, basis, v)]
-                cols.append([F.add[basis[k]][F.mul[coeff][v[k]]] for k in range(n)])
-            gens.append(_cols_to_matrix(cols, n))
-    return gens
+    return [_rank_one(F, n, v, lambda x: F.mul[lam][bilinear(F, n, gram, x, v)])
+            for v in vectors for lam in values]
 
 
 def _unitary_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
@@ -148,29 +147,17 @@ def _unitary_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
     2, 3 and 6); the root elements appended for odd n do
     (``_unitary_root_elements``).  Diagonal isometries extend to GU."""
     half = F.e // 2
-    q0 = F.p**half
     trace_zero = [x for x in range(1, F.q) if F.add[x][F.conj(x, half)] == 0]
     isotropic = [pt for pt in projective_points(F, n)
                  if hermitian_value(F, n, half, pt, pt) == 0]
-    gens = []
-    for v in isotropic:
-        for lam in trace_zero:
-            cols = []
-            for i in range(n):
-                basis = tuple(1 if k == i else 0 for k in range(n))
-                coeff = F.mul[lam][hermitian_value(F, n, half, v, basis)]
-                cols.append([F.add[basis[k]][F.mul[coeff][v[k]]] for k in range(n)])
-            gens.append(_cols_to_matrix(cols, n))
+    gens = [_rank_one(F, n, v, lambda x: F.mul[lam][hermitian_value(F, n, half, v, x)])
+            for v in isotropic for lam in trace_zero]
     if not special:
         gens.append(unitary_diagonal(F, n))
         if n % 2 == 1:
-            beta = 1
-            for _ in range(q0 - 1):
-                beta = F.mul[beta][F.generator]  # generator**(q0-1): norm 1
-            mid = n // 2
-            diag2 = list(mat_identity(n))
-            diag2[mid * n + mid] = beta
-            gens.append(tuple(diag2))
+            # generator**(q0 - 1) has norm 1
+            beta = pow_elem(F, F.generator, F.p**half - 1)
+            gens.append(_elementary(n, n // 2, n // 2, beta))
     gens.extend(_unitary_root_elements(F, n, half))
     return gens
 
@@ -230,22 +217,15 @@ def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
         qv = quadratic_value(F, terms, v)
         if qv == 0:
             continue
-        inv_qv = F.inv[qv]
-        cols = []
-        for i in range(n):
-            basis = tuple(1 if k == i else 0 for k in range(n))
-            coeff = F.mul[inv_qv][polar(basis, v)]
-            if F.p == 2:
-                cols.append([F.add[basis[k]][F.mul[coeff][v[k]]] for k in range(n)])
-            else:
-                cols.append([F.sub(basis[k], F.mul[coeff][v[k]]) for k in range(n)])
-        gens.append(_cols_to_matrix(cols, n))
+        # q even: the transvection x + polar(x, v)/Q(v) * v; q odd: the
+        # reflection x - polar(x, v)/Q(v) * v
+        scale = F.inv[qv] if F.p == 2 else F.neg[F.inv[qv]]
+        gens.append(_rank_one(F, n, v, lambda x: F.mul[scale][polar(x, v)]))
     if F.p == 2 and sign == 1 and n >= 4:
         images = list(range(n))
         images[0], images[1] = 1, 0
         images[n - 1], images[n - 2] = n - 2, n - 1
-        gens.append(_cols_to_matrix(
-            [[1 if k == images[i] else 0 for k in range(n)] for i in range(n)], n))
+        gens.append(tuple(int(images[j] == i) for i in range(n) for j in range(n)))
     return gens
 
 
@@ -281,8 +261,7 @@ def orthogonal_similitude(F: Fq, n: int, sign: int) -> Matrix:
 # the public builder
 
 
-def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
-                    witnesses: bool = False) -> SmallGroup:
+def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallGroup:
     """Construct the named group as an explicit permutation group.
 
     Projective kinds act on projective points; the others act on the
@@ -291,10 +270,9 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
     it needs.  SO, Omega and POmega are not closed from GO: they are the
     kernel of a map GO -> (Z/2)^2 read off each recipe matrix
     (``_character``), generated by its Schreier generators (``_kernel``).
-    Matrix witnesses are kept for PSL and on request (not for SO, Omega
-    and POmega).  Raises CapExceeded when the order polynomial exceeds
-    ``cap``; raises DomainError if the closure does not reach the
-    expected order (a construction bug, never a silent approximation).
+    Raises CapExceeded when the order polynomial exceeds ``cap``; raises
+    DomainError if the closure does not reach the expected order (a
+    construction bug, never a silent approximation).
     """
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}")
@@ -307,9 +285,8 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
     meta = {"kind": kind, "n": n, "q": q, "field": F,
             "projective": projective, "points": points}
 
-    def finish(gens, elements, wit=None, extra_meta=None) -> SmallGroup:
-        group = SmallGroup(degree=len(points), gens=list(gens),
-                           elements=elements, witnesses=wit)
+    def finish(gens, elements, extra_meta=None) -> SmallGroup:
+        group = SmallGroup(degree=len(points), gens=list(gens), elements=elements)
         group.meta = dict(meta)
         if extra_meta:
             group.meta.update(extra_meta)
@@ -345,9 +322,6 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP,
         labels = [_character(F, n, terms, m, spinor) for m in mats]
         return finish(*_kernel(perm_gens, labels, len(points), 2 * target),
                       extra_meta={"parent_gens": perm_gens})
-    if witnesses or kind == "PSL":
-        return finish(*close_under_products(perm_gens, len(points), gen_mats=mats,
-                                            field_obj=F, n=n, limit=2 * target))
     return finish(*close_under_products(perm_gens, len(points), limit=2 * target))
 
 
@@ -380,8 +354,7 @@ def _kernel(gens: list, labels: list[int], degree: int, limit: int):
                 reached.append(c ^ label)
     schreier = (perm_compose(perm_compose(t, g), perm_inverse(transversal[c ^ label]))
                 for c, t in transversal.items() for g, label in zip(gens, labels))
-    used, elements, _ = close_under_products(schreier, degree, limit=limit)
-    return used, elements
+    return close_under_products(schreier, degree, limit=limit)
 
 
 def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
@@ -404,8 +377,6 @@ def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
 
 
 def _field_for(kind: str, q: int) -> Fq:
-    from .. import arith
-
     split = arith.prime_power_split(q)
     if split is None:
         raise DomainError(f"{q} is not a prime power")

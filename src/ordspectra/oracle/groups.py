@@ -83,46 +83,8 @@ def perm_order(a: Perm) -> int:
 # matrices
 
 
-def mat_mul(F: Fq, n: int, a: Matrix, b: Matrix) -> Matrix:
-    mul = F.mul
-    add = F.add
-    out = [0] * (n * n)
-    for i in range(n):
-        row = i * n
-        for k in range(n):
-            aik = a[row + k]
-            if not aik:
-                continue
-            brow = k * n
-            mrow = mul[aik]
-            for j in range(n):
-                v = mrow[b[brow + j]]
-                if v:
-                    out[row + j] = add[out[row + j]][v]
-    return tuple(out)
-
-
 def mat_identity(n: int) -> Matrix:
     return tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-
-
-def mat_transpose(n: int, a: Matrix) -> Matrix:
-    return tuple(a[j * n + i] for i in range(n) for j in range(n))
-
-
-def mat_inverse(F: Fq, n: int, a: Matrix) -> Matrix:
-    aug = [[a[i * n + j] for j in range(n)] + [1 if i == j else 0 for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = F.inv[aug[col][col]]
-        aug[col] = [F.mul[inv][v] for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [F.sub(v, F.mul[factor][w]) for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[i][n + j] for i in range(n) for j in range(n))
 
 
 def mat_apply(F: Fq, n: int, a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
@@ -257,13 +219,12 @@ def normalize(F: Fq, v: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass
 class SmallGroup:
-    """Explicit permutation group, optionally with matrix witnesses."""
+    """Explicit permutation group: its generators and all its elements."""
 
     degree: int
     gens: list[Perm]
     elements: set[Perm]
     meta: dict = field(default_factory=dict)
-    witnesses: dict[Perm, Matrix] | None = None
 
     @property
     def order(self) -> int:
@@ -316,50 +277,37 @@ class SmallGroup:
         )
 
 
-def close_under_products(gens, degree: int, gen_mats=None, field_obj=None,
-                         n=None, limit: int | None = None):
+def close_under_products(gens, degree: int, limit: int | None = None):
     """Incremental closure: adjoin the generators (any iterable) in order,
     skipping each one already in the group generated so far.
 
-    Returns ``(used, elements, witnesses)``: the adjoined generators, the
-    group they generate, and (when ``gen_mats`` runs parallel to
-    ``gens``) one matrix witness per permutation.  Adjoining g only
-    multiplies the old elements by g, since they are already closed
-    under the earlier generators; each new element is multiplied by
-    every generator used.
+    Returns ``(used, elements)``: the adjoined generators and the group
+    they generate.  Adjoining g only multiplies the old elements by g,
+    since they are already closed under the earlier generators; each new
+    element is multiplied by every generator used.
     """
-    identity = tuple(range(degree))
-    elements = {identity}
-    witnesses = None
-    if gen_mats is not None:
-        witnesses = {identity: mat_identity(n)}
-        pairs = zip(gens, gen_mats)
-    else:
-        pairs = ((g, None) for g in gens)
-    used: list[tuple[Perm, Matrix | None]] = []
-    for g, g_mat in pairs:
+    elements = {tuple(range(degree))}
+    used: list[Perm] = []
+    for g in gens:
         if g in elements:
             continue
-        used.append((g, g_mat))
+        used.append(g)
         frontier = list(elements)
-        step = [(g, g_mat)]
+        step = [g]
         while frontier:
             new_frontier = []
             for cur in frontier:
                 cur_then = perm_getter(cur)
-                for h, h_mat in step:
+                for h in step:
                     nxt = cur_then(h)
                     if nxt not in elements:
                         elements.add(nxt)
                         if limit is not None and len(elements) > limit:
                             raise CapExceeded(len(elements), limit)
-                        if witnesses is not None:
-                            # perm composition "cur then h" matches h_mat * cur_mat
-                            witnesses[nxt] = mat_mul(field_obj, n, h_mat, witnesses[cur])
                         new_frontier.append(nxt)
             frontier = new_frontier
             step = used
-    return [g for g, _ in used], elements, witnesses
+    return used, elements
 
 
 def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: bool):

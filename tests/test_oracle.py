@@ -2,6 +2,7 @@ import pytest
 
 from ordspectra import oracle, sym_partitions
 from ordspectra.errors import CapExceeded
+from ordspectra.oracle.autos import duality_automorphism
 from ordspectra.oracle.groups import close_under_products, matrices_to_perms, perm_compose
 
 
@@ -105,20 +106,37 @@ def test_closure_skips_redundant_generators():
     swap, cycle = (1, 0, 2, 3), (1, 2, 3, 0)
     identity = (0, 1, 2, 3)
     gens = [identity, swap, swap, cycle, perm_compose(swap, cycle), cycle]
-    used, elements, witnesses = close_under_products(iter(gens), 4)
+    used, elements = close_under_products(iter(gens), 4)
     assert used == [swap, cycle]
-    assert len(elements) == 24 and witnesses is None
+    assert len(elements) == 24
     with pytest.raises(CapExceeded):
         close_under_products(gens, 4, limit=23)
 
 
-def test_closure_witnesses_match_permutations():
-    group = oracle.build_classical("PSL", 3, 2, witnesses=True)
-    F, n, points = group.meta["field"], group.meta["n"], group.meta["points"]
-    perms = list(group.witnesses)
-    assert set(perms) == group.elements
-    mats = [group.witnesses[p] for p in perms]
-    assert matrices_to_perms(F, n, mats, points, projective=True) == perms
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 3), (4, 2)])
+def test_duality_inverse_transposes_the_recipe(get_group, n, q):
+    """The recipe generator I + v*E_ij goes to (I + v*E_ij)^-T = I - v*E_ji."""
+    from ordspectra.oracle.build import _gl_gens
+
+    group = get_group("PSL", n, q)
+    F, points = group.meta["field"], group.meta["points"]
+    duality = duality_automorphism(group)
+    for mat in _gl_gens(F, n, special=True):
+        (i, j), = [(i, j) for i in range(n) for j in range(n) if i != j and mat[i * n + j]]
+        dual = [int(r == c) for r in range(n) for c in range(n)]
+        dual[j * n + i] = F.neg[mat[i * n + j]]
+        perm, expected = matrices_to_perms(F, n, [mat, tuple(dual)], points, projective=True)
+        assert duality(perm) == expected
+
+
+def test_duality_is_an_automorphism(get_group):
+    """On PSL(3,2) the duality is a bijective homomorphism, checked on all pairs."""
+    G = get_group("PSL", 3, 2)
+    duality = duality_automorphism(G)
+    image = {g: duality(g) for g in G.elements}
+    assert set(image.values()) == G.elements
+    assert all(image[perm_compose(a, b)] == perm_compose(image[a], image[b])
+               for a in G.elements for b in G.elements)
 
 
 def test_cap_exceeded():
@@ -148,6 +166,9 @@ def test_nr_aut_orbits_known_values(get_group):
     assert oracle.nr_aut_orbits(get_group("PSL", 2, 5)) == 4
     assert oracle.nr_aut_orbits(get_group("PSL", 2, 7)) == 5
     assert oracle.nr_aut_orbits(get_group("PSL", 2, 9)) == 5
+    assert oracle.nr_aut_orbits(get_group("PSL", 3, 3)) == 9
+    assert oracle.nr_aut_orbits(get_group("PSL", 3, 4)) == 6
+    assert oracle.nr_aut_orbits(get_group("PSL", 4, 2)) == 12
     for p in (5, 7, 11):
         assert oracle.nr_aut_orbits(oracle.build_cyclic(p)) == 2
 

@@ -43,6 +43,7 @@ def test_trivial_groups_have_one_class(build):
     # a scalar image would add a non-tuple key without adding a class
     assert set(class_of) == group.elements
     assert group.element_orders().values == (1,)
+    assert oracle.nr_aut_orbits(group) == 1
 
 
 @pytest.mark.parametrize("kind, n, q", [
