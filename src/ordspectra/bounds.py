@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +30,7 @@ from .errors import DataMissing, DomainError, NotAvailable, OutOfScope
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     LieSpec,
+    coxeter_number,
     group_order,
     make_spec,
     out_order,
@@ -47,9 +47,8 @@ from .torus_spectra import (
 @dataclass(frozen=True)
 class FamilyLevels:
     """A classical family's accepted levels of the Aut-orbit (omega) and
-    element-order-count (omicron) bounds, the frozen message refusing
-    any other, and the multiplier M in the count (1 + ceil(log_p M)) of
-    p-power element orders.  epsilon_q takes any (omega, omicron) pair.
+    element-order-count (omicron) bounds, and the frozen message refusing
+    any other.  epsilon_q takes any (omega, omicron) pair.
     """
 
     omega: tuple[int, ...]
@@ -57,7 +56,6 @@ class FamilyLevels:
     omicron: tuple[int, ...]
     omicron_message: str
     epsilon_q_message: str
-    p_part: Callable[[int], int]
 
     @property
     def epsilon_q(self) -> tuple[tuple[int, int], ...]:
@@ -68,13 +66,13 @@ class FamilyLevels:
 LEVELS = {family: row for families, row in (
     (("A", "2A"), FamilyLevels((2,), messages.LEVEL_ONLY_2,
                                (1, 2, 3), messages.LEVEL_1_2_OR_3,
-                               messages.COMBO_A, lambda d: d + 1)),
+                               messages.COMBO_A)),
     (("B", "C"), FamilyLevels((1, 2), messages.LEVEL_1_OR_2,
                               (1, 2), messages.LEVEL_1_OR_2,
-                              messages.COMBO_BC, lambda d: 2 * d)),
+                              messages.COMBO_BC)),
     (("D", "2D"), FamilyLevels((1, 2), messages.LEVEL_1_OR_2,
                                (1, 2, 3), messages.LEVEL_1_2_OR_3,
-                               messages.COMBO_D, lambda d: 2 * d - 2)),
+                               messages.COMBO_D)),
 ) for family in families}
 
 
@@ -86,6 +84,12 @@ class EpsilonResult:
     omega_bound: int | Fraction | None
     omicron_bound: int | None
     loglog_order: float
+
+
+def _p_power_orders(spec: LieSpec) -> int:
+    """1 + ceil(log_p h), h the Coxeter number of the untwisted type: the
+    count of p-power element orders that the bounds multiply by."""
+    return 1 + arith.ceil_log(spec.p, coxeter_number(spec.family.lstrip("2"), spec.d))
 
 
 def _ceil_div(a: int | Fraction, b: int) -> int:
@@ -130,7 +134,7 @@ def nr_element_orders_upper(spec: LieSpec, level: int | None = None,
     Classical families: (semisimple-order count bound at the level)
     times the exact count of p-power orders.  Exceptional families with
     a full spectrum return the exact count; E8 uses its semisimple count
-    times (1 + ceil(log_p 30)).
+    times (1 + ceil(log_p h)), h = 30 its Coxeter number.
     """
     family = spec.family
     if family in CLASSICAL_FAMILIES:
@@ -144,13 +148,11 @@ def nr_element_orders_upper(spec: LieSpec, level: int | None = None,
             ss = nr_semisimple_orders(spec)
         else:
             ss = nr_semisimple_orders_bound(spec)
-        m = LEVELS[family].p_part(spec.d)
-        return ss * (1 + arith.ceil_log(spec.p, m))
+        return ss * _p_power_orders(spec)
     if level is not None:
         raise DomainError("exceptional families take no quality level")
     if family == "E8":
-        ss = len(exceptional_semisimple(spec, spectra))
-        return ss * (1 + arith.ceil_log(spec.p, 30))
+        return len(exceptional_semisimple(spec, spectra)) * _p_power_orders(spec)
     return len(exceptional_spectrum(spec, spectra))
 
 
@@ -213,5 +215,5 @@ def epsilon_q_fixed_small_q(family: str, d: int, constants: dict,
         numerator = Fraction(2**d, 2 * math.gcd(d + 1, 3) ** 2)
     else:
         numerator = nr_aut_orbits_lower(spec, 2, provider)
-    log_count = 1 + arith.ceil_log(2, LEVELS[family].p_part(d))
-    return _epsilon_q_from_parts(numerator, oss_90 * log_count, group_order(spec))
+    return _epsilon_q_from_parts(numerator, oss_90 * _p_power_orders(spec),
+                                 group_order(spec))

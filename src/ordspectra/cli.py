@@ -106,10 +106,13 @@ def _spec_from_args(args):
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise DomainError("levels must be given as L1,L2")
-    return int(parts[0]), int(parts[1])
+    """The ``--levels`` argument type: a pair L1,L2 of integers."""
+    try:
+        l1, l2 = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"levels must be given as L1,L2 with integer levels, not {text!r}") from None
+    return l1, l2
 
 
 def _epsilon_rows(result) -> list[dict]:
@@ -165,8 +168,7 @@ def _run_lie(args, store: DataStore) -> list[dict]:
         result = bounds.epsilon_omega_lower(spec, args.level, store.class_numbers)
         return _epsilon_rows(result)
     if args.lie_cmd == "epsilon-q":
-        levels = _parse_levels(args.levels) if args.levels else None
-        result = bounds.epsilon_q_lower(spec, levels, store.class_numbers,
+        result = bounds.epsilon_q_lower(spec, args.levels, store.class_numbers,
                                         store.spectra)
         return _epsilon_rows(result)
     if args.lie_cmd == "spectrum":
@@ -294,7 +296,7 @@ def build_parser() -> _Parser:
         if name in ("k", "omega-bound", "oord-bound", "epsilon-omega"):
             sp.add_argument("--level", type=int)
         if name == "epsilon-q":
-            sp.add_argument("--levels", help="pair L1,L2")
+            sp.add_argument("--levels", type=_parse_levels, help="pair L1,L2")
         if name == "spectrum":
             sp.add_argument("--semisimple", action="store_true")
 

@@ -20,7 +20,8 @@ from . import arith, bounds
 from .class_numbers import ClassNumberProvider
 from .errors import (DataMissing, DomainError, NotAvailable, OrdspectraError,
                      PrecisionError)
-from .lie_catalog import CLASSICAL_FAMILIES, EXCEPTIONAL_RANK, TWIST, LieSpec, make_spec
+from .lie_catalog import (_SQRT_FAMILIES, CLASSICAL_FAMILIES, EXCEPTIONAL_RANK, TWIST, LieSpec,
+                          make_spec)
 from .sym_partitions import g2
 from .torus_spectra import SpectrumProvider
 from . import messages
@@ -71,6 +72,14 @@ def _q_value(q) -> "mpmath.mpf":
     return mpmath.mpf(q)
 
 
+def _log_ratio(inner, d: int, shift=0):
+    """Undefined when the 50-digit ``inner`` is negative, else
+    (log(inner) + shift) / (log(4 d**2) + shift)."""
+    if _guarded_sign(inner) < 0:
+        return UNDEFINED
+    return float((mpmath.log(inner) + shift) / (mpmath.log(4 * d * d) + shift))
+
+
 def epsilon_omega_general2(d: int):
     """Uniform lower bound at field parameter 2; Undefined when the
     leading log argument is nonpositive (exactly when 2**d <= 6(d+1)**2,
@@ -82,10 +91,7 @@ def epsilon_omega_general2(d: int):
     with mpmath.workdps(_DPS):
         ln2 = mpmath.log(2)
         inner = d - 2 * mpmath.log(d + 1) / ln2 - mpmath.log(6) / ln2
-        value = (mpmath.log(inner) + mpmath.log(ln2)) / (
-            mpmath.log(4 * d * d) + mpmath.log(ln2)
-        )
-        return float(value)
+        return _log_ratio(inner, d, mpmath.log(ln2))
 
 
 def epsilon_omega_general3(d: int, q):
@@ -99,9 +105,7 @@ def epsilon_omega_general3(d: int, q):
         logq = _log_q(q)
         inner = (d - 2 * mpmath.log(d + 1) / logq - mpmath.log(6) / logq
                  - 1 / (mpmath.e * mpmath.log(2)))
-        if _guarded_sign(inner) < 0:
-            return UNDEFINED
-        return float(mpmath.log(inner) / mpmath.log(4 * d * d))
+        return _log_ratio(inner, d)
 
 
 def epsilon_q_classical1(d: int, kind: int):
@@ -120,32 +124,22 @@ def epsilon_q_classical1(d: int, kind: int):
             inner = ((1 - ln3 / mpmath.log(4)) * d
                      - (2 * mpmath.pi / mpmath.sqrt(3) * mpmath.sqrt(d)
                         + 3 * mpmath.log(d + 1) + tail + mpmath.log(4)) / ln2)
-            if _guarded_sign(inner) < 0:
-                return UNDEFINED
-            return float((mpmath.log(inner) + mpmath.log(ln2))
-                         / (mpmath.log(4 * d * d) + mpmath.log(ln2)))
+            return _log_ratio(inner, d, mpmath.log(ln2))
         if kind == 2:
             inner = ((1 - mpmath.log(4) / mpmath.log(9)) * d
                      - (2 * mpmath.pi / mpmath.sqrt(3) * mpmath.sqrt(d)
                         + 3 * mpmath.log(d + 1) + tail + mpmath.log(4)) / ln3
                      - 1 / (mpmath.e * ln2))
-            if _guarded_sign(inner) < 0:
-                return UNDEFINED
-            return float(mpmath.log(inner) / mpmath.log(4 * d * d))
+            return _log_ratio(inner, d)
         lg2 = mpmath.log(g2(d))
         if kind == 3:
             inner = ((1 - mpmath.mpf("0.311") * ln3 / ln2) * d
                      - (lg2 + 2 * ln3 + tail + ln2) / ln2)
-            if _guarded_sign(inner) < 0:
-                return UNDEFINED
-            return float((mpmath.log(inner) + mpmath.log(ln2))
-                         / (mpmath.log(4 * d * d) + mpmath.log(ln2)))
+            return _log_ratio(inner, d, mpmath.log(ln2))
         inner = ((1 - mpmath.log(4) / mpmath.log(27)) * d
                  - (lg2 + 2 * mpmath.log(d + 1) + tail + ln2) / ln3
                  - 1 / (mpmath.e * ln2))
-        if _guarded_sign(inner) < 0:
-            return UNDEFINED
-        return float(mpmath.log(inner) / mpmath.log(4 * d * d))
+        return _log_ratio(inner, d)
 
 
 def epsilon_q_classical2(d: int, q: int):
@@ -261,8 +255,8 @@ def _valid_Q_values(family: str, q0: int) -> list[int]:
     """The field parameters Q of an exceptional family below q0: the odd
     powers p^3, p^5, ... below q0 for the Suzuki/Ree families, else
     q^t for each prime power q below q0."""
-    if family in ("2B2", "2F4", "2G2"):
-        p = 3 if family == "2G2" else 2
+    if family in _SQRT_FAMILIES:
+        p = _SQRT_FAMILIES[family]
         out, Q = [], p**3
         while Q < q0:
             out.append(Q)

@@ -1,18 +1,26 @@
 """Semisimple element-order sets via maximal tori.
 
 Every semisimple element of a finite reductive group lies in a maximal
-torus, and the maximal tori are classified by (signed) partitions of the
-rank, with known cyclic-factor orders:
+torus.  A class of maximal tori is a multiset of blocks (a, s), with
+sizes a summing to the size of the group and a sign s = +1 or -1; its
+torus is the direct product of the cyclic groups C(q**a + s).  One
+block model (``_block_model``) says, per family, which signs a block
+may take and how many +1 blocks a torus may have:
 
-* GL_n(q):  partitions (n_1..n_k) of n, torus = product of C(q**n_i - 1);
-* GU_n(q):  same partitions, factor orders q**n_i - (-1)**n_i;
-* GO/Sp:    signed partitions (a_1.. | b_1..) of the rank, factors
-            q**a_i - 1 and q**b_j + 1 (even dimension: the sign of the
-            form is (-1)**(number of minus parts)).
+* A (GL_n, n = d + 1): one sign per block, s = -1;
+* 2A (GU_n, n = d + 1): one sign per block, s = -(-1)**a;
+* B/C (GO_{2d+1}, Sp_{2d}): sizes sum to d, either sign, any number of
+  +1 blocks;
+* D/2D (GO+/-_{2d}): as B/C, with an even number of +1 blocks for D
+  (the plus form) and an odd number for 2D (the minus form).
+
+The ambient GL/GU/GO order sets, the per-torus reference enumeration
+(``_simple_torus_exponents``) and the support walk below all read this
+model; ``_tori`` lists every torus of it once.
 
 Since each torus is abelian, its set of element orders is exactly the
 divisor set of its exponent, so the group's semisimple order set is the
-union of divisor sets over a transversal of torus classes.
+union of divisor sets over the torus classes.
 
 For the *simple* groups the torus must be replaced by its image in the
 simple quotient: the kernel of an explicit linear character
@@ -27,8 +35,8 @@ character and the centre cost a bounded factor (``_a_family_exponent``,
 and by oracle equality on every small group in the test grid.
 
 So the exact order set only needs the tori with one or two blocks, O(d)
-of them, and for the rest the *supports*: the sets of distinct (signed)
-parts that repeated parts fill to a torus with at least three blocks.
+of them, and for the rest the *supports*: the sets of distinct blocks
+that repeated blocks fill to a torus with at least three blocks.
 Each distinct exponent contributes its divisors once.  The level-1
 bound sums the divisor count of every torus instead: a support's count
 is added once per torus that fills it.
@@ -147,92 +155,91 @@ def _m_factored(q: int, n: int, sign: int) -> Factored:
 
 
 # ---------------------------------------------------------------------------
-# partition generators
+# the torus model
 
 
-def partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n with parts descending; n = 0 yields the empty tuple."""
-    if n == 0:
-        yield ()
-        return
-    if largest is None or largest > n:
-        largest = n
-    for first in range(largest, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
+def _block_model(family: str, d: int) -> tuple[int, list[tuple[int, ...]], int | None]:
+    """(size, signs, parity): the model of the tori of a classical family
+    at rank d.  Block sizes sum to ``size``, ``signs[a]`` are the signs a
+    block of size a can take, and the number of +1 blocks has ``parity``
+    mod 2 (None: any)."""
+    if family in ("A", "2A"):
+        twisted = family == "2A"
+        return d + 1, [(1 if twisted and a % 2 else -1,) for a in range(d + 2)], None
+    if family in ("B", "C", "D", "2D"):
+        return d, [(-1, 1)] * (d + 1), {"D": 0, "2D": 1}.get(family)
+    raise DomainError(f"{family} is not a classical family")
 
 
-def signed_partitions(d: int, minus_parity: int | None = None
-                      ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Pairs (plus parts, minus parts) with total size d.
+def _tori(size: int, signs: list[tuple[int, ...]], parity: int | None
+          ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Every torus of the model once, as its tuple of blocks (a, s) in
+    descending size; size 0 yields the empty torus."""
+    blocks = [(a, s) for a in range(size, 0, -1) for s in signs[a]]
 
-    ``minus_parity`` restricts the number of minus parts mod 2 (the sign
-    constraint of the even-dimensional orthogonal groups).
-    """
-    for plus_total in range(d, -1, -1):
-        for plus in partitions(plus_total):
-            for minus in partitions(d - plus_total):
-                if minus_parity is not None and len(minus) % 2 != minus_parity:
-                    continue
-                yield plus, minus
+    def walk(rest, start, torus, plus):
+        if rest == 0:
+            if parity is None or plus % 2 == parity:
+                yield torus
+            return
+        for i in range(start, len(blocks)):
+            a, s = blocks[i]
+            if a <= rest:
+                yield from walk(rest - a, i, torus + ((a, s),), plus + (s == 1))
+
+    return walk(size, 0, (), 0)
+
+
+def _support_lcm(q: int, blocks) -> Factored:
+    """Factored lcm(q**a + s) over the blocks (a, s)."""
+    out: Factored = {}
+    for a, sign in blocks:
+        out = _fact_lcm(out, _m_factored(q, a, sign))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # ambient groups: GL / GU / GO
 
 
+def _ambient_orders(family: str, d: int, q: int) -> OrderSet:
+    """The divisors of lcm(q**a + s) over every torus of the family at
+    rank d: the orders coprime to the characteristic in its ambient
+    group, one torus at a time (the reference for the support walk)."""
+    out: set[int] = set()
+    for torus in _tori(*_block_model(family, d)):
+        out.update(_fact_divisors(_support_lcm(q, torus)))
+    return OrderSet.from_iterable(out)
+
+
 def semisimple_orders_gl(n: int, q: int) -> OrderSet:
     """Orders coprime to the characteristic in GL_n(q)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    out: set[int] = set()
-    for lam in partitions(n):
-        exp: Factored = {}
-        for part in lam:
-            exp = _fact_lcm(exp, _m_factored(q, part, -1))
-        out.update(_fact_divisors(exp))
-    return OrderSet.from_iterable(out)
+    return _ambient_orders("A", n - 1, q)
 
 
 def semisimple_orders_gu(n: int, q: int) -> OrderSet:
     """Orders coprime to the characteristic in GU_n(q)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    out: set[int] = set()
-    for lam in partitions(n):
-        exp: Factored = {}
-        for part in lam:
-            exp = _fact_lcm(exp, _m_factored(q, part, +1 if part % 2 else -1))
-        out.update(_fact_divisors(exp))
-    return OrderSet.from_iterable(out)
+    return _ambient_orders("2A", n - 1, q)
 
 
 def semisimple_orders_go(n: int, q: int, sign: int | None = None) -> OrderSet:
     """Orders coprime to the characteristic in GO_n(q).
 
     Odd n: full orthogonal group, no sign.  Even n: ``sign`` selects the
-    plus (+1) or minus (-1) form; a torus with m minus parts lies in the
-    form of sign (-1)**m.
+    plus (+1) or minus (-1) form; a torus with m blocks q**a + 1 lies in
+    the form of sign (-1)**m.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n % 2 == 1:
-        d, parity = n // 2, None
-        if n == 1:
-            return OrderSet.from_iterable([1])
-    else:
-        if sign not in (-1, 1):
-            raise DomainError("even-dimensional GO needs sign +1 or -1")
-        d, parity = n // 2, (0 if sign == 1 else 1)
-    out: set[int] = set()
-    for plus, minus in signed_partitions(d, parity):
-        exp: Factored = {}
-        for a in plus:
-            exp = _fact_lcm(exp, _m_factored(q, a, -1))
-        for b in minus:
-            exp = _fact_lcm(exp, _m_factored(q, b, +1))
-        out.update(_fact_divisors(exp))
-    return OrderSet.from_iterable(out)
+        return _ambient_orders("B", n // 2, q)
+    if sign not in (-1, 1):
+        raise DomainError("even-dimensional GO needs sign +1 or -1")
+    return _ambient_orders("D" if sign == 1 else "2D", n // 2, q)
 
 
 # ---------------------------------------------------------------------------
@@ -307,23 +314,19 @@ def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
 # torus exponents in the simple classical groups
 
 
-def _a_sign(part: int, twisted: bool) -> int:
-    """The sign s of the torus factor q**part + s in type A or 2A."""
-    return 1 if twisted and part % 2 else -1
-
-
-def _a_family_exponent(n: int, q: int, parts: tuple[int, ...], twisted: bool) -> int:
-    """Exponent of the image in the simple group of the torus attached to
-    ``parts`` (a partition of n = d + 1) for type A (twisted=False) or
-    type 2A (twisted=True).
+def _a_family_exponent(q: int, torus, twisted: bool) -> int:
+    """Exponent of the image in the simple group of a torus of type A
+    (twisted=False) or type 2A (twisted=True), whose blocks have sizes
+    summing to n = d + 1.
 
     Model: the ambient torus is the direct product of cyclic groups of
-    orders m_i; in coherent coordinates the determinant character is
-    sum(eps_i * x_i) mod r (r = q -/+ 1), where eps_i = 1 for type A and,
-    in the twisted case, eps_i = +1 on odd parts and -1 on even parts
-    (the norm of the even-part torus factor inverts the distinguished
-    generator).  The central subgroup is generated by z = (c_1, ..., c_k)
-    with c_i = m_i/w and w = gcd(n, r).  The exponent of kernel/<z> is:
+    orders m_i = q**a_i + s_i; in coherent coordinates the determinant
+    character is sum(eps_i * x_i) mod r (r = q -/+ 1), where eps_i = 1
+    for type A and eps_i = s_i in the twisted case, +1 on odd blocks and
+    -1 on even blocks (the norm of the even-block torus factor inverts
+    the distinguished generator).  The central subgroup is generated by
+    z = (c_1, ..., c_k) with c_i = m_i/w and w = gcd(n, r).  The exponent
+    of kernel/<z> is:
 
     * lcm(m_i) when r = 1 (no character, trivial centre) or k >= 3 (see
       the module docstring);
@@ -337,23 +340,22 @@ def _a_family_exponent(n: int, q: int, parts: tuple[int, ...], twisted: bool) ->
       divides c_2.
     """
     r = q + 1 if twisted else q - 1
-    ms = [q**part + _a_sign(part, twisted) for part in parts]
+    ms = [q**a + s for a, s in torus]
     if r == 1 or len(ms) >= 3:
         return math.lcm(*ms)
-    w = math.gcd(n, r)
+    w = math.gcd(sum(a for a, _ in torus), r)
     if len(ms) == 1:
         return ms[0] // (r * w)
-    eps = [1 if not twisted or part % 2 else -1 for part in parts]
+    eps = [s if twisted else 1 for _, s in torus]
     c1, c2 = ms[0] // w, ms[1] // w
     base = math.lcm(c1, c2)
     return next(E for E in range(base, base * w + 1, base)
                 if (eps[0] * (E // c1) + eps[1] * (E // c2)) % w == 0)
 
 
-def _bcd_family_exponent(family: str, q: int,
-                         plus: tuple[int, ...], minus: tuple[int, ...]) -> Factored:
-    """Factored exponent of the simple-group image of the torus given by a
-    signed partition, for families B, C, D, 2D.
+def _bcd_family_exponent(family: str, q: int, torus) -> Factored:
+    """Factored exponent of the simple-group image of a torus, for
+    families B, C, D, 2D.
 
     q even: the torus embeds in the simple group unchanged (trivial
     center, no spinor character), so the exponent is lcm(m_i).
@@ -370,7 +372,7 @@ def _bcd_family_exponent(family: str, q: int,
       block) can be lost, and for exactly two blocks sharing the maximal
       2-adic valuation the exponent is lcm/2.
     """
-    ms = [_m_factored(q, a, -1) for a in plus] + [_m_factored(q, b, +1) for b in minus]
+    ms = [_m_factored(q, a, s) for a, s in torus]
     k = len(ms)
     lcm: Factored = {}
     for m in ms:
@@ -383,10 +385,8 @@ def _bcd_family_exponent(family: str, q: int,
     half_qm1 = (q - 1) // 2
     half_qp1 = (q + 1) // 2
     parity = 0
-    for a in plus:
-        parity ^= (a * half_qm1) & 1
-    for b in minus:
-        parity ^= (half_qp1 + (b - 1) * half_qm1) & 1
+    for a, s in torus:
+        parity ^= (a * half_qm1 if s == -1 else half_qp1 + (a - 1) * half_qm1) & 1
     if parity == 1:
         return lcm if k >= 2 else _fact_halve(lcm)
     if k == 1:
@@ -396,59 +396,33 @@ def _bcd_family_exponent(family: str, q: int,
     return lcm
 
 
-#: parity of the number of minus parts of a torus (None: any)
-_MINUS_PARITY = {"B": None, "C": None, "D": 0, "2D": 1}
+def _torus_exponent(spec: LieSpec, torus) -> Factored:
+    """Factored exponent of the image of a torus in the simple group."""
+    if spec.family in ("A", "2A"):
+        exp = _a_family_exponent(spec.q, torus, spec.family == "2A")
+        return _fact_of_int_dividing(exp, _support_lcm(spec.q, torus))
+    return _bcd_family_exponent(spec.family, spec.q, torus)
 
 
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
     """Factored exponents of the simple-group torus images, one per class:
-    the plain enumeration over all (signed) partitions, which the
-    support-based ``semisimple_orders_simple`` and
-    ``nr_semisimple_orders_bound`` are tested against."""
-    family, d, q = spec.family, spec.d, spec.q
-    if family in ("A", "2A"):
-        n = d + 1
-        twisted = family == "2A"
-        ref: Factored = {}
-        for i in range(1, n + 1):
-            ref = _fact_lcm(ref, _m_factored(q, i, _a_sign(i, twisted)))
-        for lam in partitions(n):
-            exp = _a_family_exponent(n, q, lam, twisted)
-            yield _fact_of_int_dividing(exp, ref)
-        return
-    if family in _MINUS_PARITY:
-        for plus, minus in signed_partitions(d, _MINUS_PARITY[family]):
-            yield _bcd_family_exponent(family, q, plus, minus)
-        return
-    raise DomainError(f"{family} is not a classical family")
+    the plain enumeration over every torus, which the support-based
+    ``semisimple_orders_simple`` and ``nr_semisimple_orders_bound`` are
+    tested against."""
+    for torus in _tori(*_block_model(spec.family, spec.d)):
+        yield _torus_exponent(spec, torus)
 
 
 def _torus_model(spec: LieSpec):
-    """(exponents of the tori with one or two blocks, one per torus; the
-    size d of the blocks; signs[a], the signs a block of part a can take;
-    the parity of the number of +1 blocks, None for any) of a classical
-    family.  A block (a, s) has the factor q**a + s."""
-    family, d, q = spec.family, spec.d, spec.q
-    if family in ("A", "2A"):
-        n = d + 1
-        twisted = family == "2A"
-        few: list[Factored] = []
-        for lam in [(n,)] + [(n - b, b) for b in range(1, n // 2 + 1)]:
-            ref: Factored = {}
-            for part in lam:
-                ref = _fact_lcm(ref, _m_factored(q, part, _a_sign(part, twisted)))
-            few.append(_fact_of_int_dividing(_a_family_exponent(n, q, lam, twisted), ref))
-        return few, n, [(_a_sign(a, twisted),) for a in range(n + 1)], None
-    if family in _MINUS_PARITY:
-        parity = _MINUS_PARITY[family]
-        shapes = [((d,), ()), ((), (d,))]
-        shapes += [((d - b, b), ()) for b in range(1, d // 2 + 1)]
-        shapes += [((), (d - b, b)) for b in range(1, d // 2 + 1)]
-        shapes += [((d - b,), (b,)) for b in range(1, d)]
-        few = [_bcd_family_exponent(family, q, plus, minus) for plus, minus in shapes
-               if parity is None or len(minus) % 2 == parity]
-        return few, d, [(-1, 1)] * (d + 1), parity
-    raise DomainError(f"{family} is not a classical family")
+    """(exponents of the tori with one or two blocks, one per torus; then
+    the ``_block_model`` size, signs and parity) of a classical family."""
+    size, signs, parity = _block_model(spec.family, spec.d)
+    few = [((size, s),) for s in signs[size]]
+    few += [((size - b, s), (b, t)) for b in range(1, size // 2 + 1)
+            for s in signs[size - b] for t in signs[b] if b < size - b or s >= t]
+    if parity is not None:
+        few = [torus for torus in few if [s for _, s in torus].count(1) % 2 == parity]
+    return [_torus_exponent(spec, torus) for torus in few], size, signs, parity
 
 
 def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
@@ -479,22 +453,22 @@ def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
             even, odd = even | (odd << a) & mask, odd | (even << a) & mask
         return even, odd
 
-    # (rest, largest part still free, support, its number of +1 blocks,
+    # (rest, largest block size still free, support, its number of +1 blocks,
     # fills, lcm)
     stack = [(d, d, (), 0, (1, 0), 1)]
     while stack:
-        rest, top, support, minus, fills, lcm = stack.pop()
+        rest, top, support, plus, fills, lcm = stack.pop()
         blocks = len(support)
-        if (blocks and fills[(parity - minus) % 2 if parity is not None else 0] >> rest & 1
+        if (blocks and fills[(parity - plus) % 2 if parity is not None else 0] >> rest & 1
                 and (blocks >= 3 or (blocks == 2 and rest > 0)
                      or (blocks == 1 and rest >= 2 * support[0][0]))):
             yield support, rest, lcm
         for a in range(min(top, rest), 0, -1):
             for sign in signs[a]:
-                stack.append((rest - a, a - 1, support + ((a, sign),), minus + (sign == 1),
+                stack.append((rest - a, a - 1, support + ((a, sign),), plus + (sign == 1),
                               refill(fills, a, sign), math.lcm(lcm, factor[a, sign])))
             if len(signs[a]) == 2 and 2 * a <= rest:
-                stack.append((rest - 2 * a, a - 1, support + ((a, -1), (a, 1)), minus + 1,
+                stack.append((rest - 2 * a, a - 1, support + ((a, -1), (a, 1)), plus + 1,
                               refill(refill(fills, a, -1), a, 1),
                               math.lcm(lcm, factor[a, -1], factor[a, 1])))
 
@@ -513,13 +487,6 @@ def _nr_fillings(rest: int, support, parity: int | None) -> int:
                 even[t] += even[t - a]
                 odd[t] += odd[t - a]
     return (odd if want else even)[rest]
-
-
-def _support_lcm(q: int, support) -> Factored:
-    out: Factored = {}
-    for a, sign in support:
-        out = _fact_lcm(out, _m_factored(q, a, sign))
-    return out
 
 
 def semisimple_orders_simple(spec: LieSpec) -> OrderSet:

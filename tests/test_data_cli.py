@@ -127,6 +127,19 @@ def test_cli_usage_exit_code(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("levels", ["x,1", "1", "1,2,3"])
+def test_cli_malformed_levels_is_usage_error(capsys, levels):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lie", "epsilon-q", "--family", "A", "--d", "1", "--q", "7",
+                  "--levels", levels])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: argument --levels: levels must be given as L1,L2 with integer levels, "
+        f"not {levels!r}"]
+
+
 def test_cli_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "--json", "lie", "epsilon-q", "--family",
                            "A", "--d", "1", "--q", "7", "--levels", "2,1")

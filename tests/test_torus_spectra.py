@@ -25,6 +25,41 @@ def test_go_examples():
     assert ts.semisimple_orders_go(2, 5, +1).values == (1, 2, 4)
     assert ts.semisimple_orders_go(2, 3, -1).values == (1, 2, 4)
     assert ts.semisimple_orders_go(4, 3, -1).values == (1, 2, 4, 5, 10)
+    for q in (2, 3, 4):
+        assert ts.semisimple_orders_go(1, q).values == (1,)
+
+
+def model_tori(family, d):
+    return ts._tori(*ts._block_model(family, d))
+
+
+#: A000041, the partition numbers p(0..12)
+PARTITION_NUMBERS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
+
+
+def test_torus_counts():
+    """A/2A tori are partitions of n; B/C tori are pairs of partitions
+    (A000712), which the parity of the number of +1 blocks splits into
+    D and 2D."""
+    def tori(family, n):
+        d = n - 1 if family in ("A", "2A") else n
+        found = list(model_tori(family, d))
+        assert len(set(found)) == len(found), (family, n)
+        for torus in found:
+            assert sum(a for a, _ in torus) == n, (family, torus)
+            assert list(torus) == sorted(torus, key=lambda block: -block[0])
+        return len(found)
+
+    d_counts, twisted_d_counts = [], []
+    for n in range(13):
+        pairs = sum(PARTITION_NUMBERS[k] * PARTITION_NUMBERS[n - k] for k in range(n + 1))
+        assert tori("A", n) == tori("2A", n) == PARTITION_NUMBERS[n]
+        assert tori("B", n) == tori("C", n) == pairs
+        d_counts.append(tori("D", n))
+        twisted_d_counts.append(tori("2D", n))
+        assert d_counts[-1] + twisted_d_counts[-1] == pairs
+    assert d_counts[:11] == [1, 1, 3, 5, 11, 18, 34, 55, 95, 150, 244]
+    assert twisted_d_counts[:11] == [0, 1, 2, 5, 9, 18, 31, 55, 90, 150, 237]
 
 
 def test_simple_spectra_known_values():
@@ -136,18 +171,16 @@ def brute_quotient_exponent(ms, char_mod, center):
 
 
 def test_a_family_exponents_against_enumeration():
-    from ordspectra.torus_spectra import _a_family_exponent, partitions
-
     for n, q in [(2, 5), (2, 7), (3, 4), (3, 3), (4, 2), (4, 3)]:
         r = q - 1
         w = math.gcd(n, r)
-        for lam in partitions(n):
-            ms = [q**part - 1 for part in lam]
+        for torus in model_tori("A", n - 1):
+            ms = [q**a - 1 for a, _ in torus]
             if math.prod(ms) > 400_000:
                 continue
             center = tuple(m // w for m in ms)
             expected = brute_quotient_exponent(ms, r, center)
-            assert _a_family_exponent(n, q, lam, twisted=False) == expected, (n, q, lam)
+            assert ts._a_family_exponent(q, torus, twisted=False) == expected, (n, q, torus)
 
 
 def brute_signed_quotient_exponent(ms, eps, r, center):
@@ -176,19 +209,17 @@ def brute_signed_quotient_exponent(ms, eps, r, center):
 
 
 def test_2a_family_exponents_against_enumeration():
-    from ordspectra.torus_spectra import _a_family_exponent, partitions
-
     for n, q in [(2, 3), (3, 3), (3, 2), (4, 2), (4, 3)]:
         r = q + 1
         w = math.gcd(n, r)
-        for lam in partitions(n):
-            ms = [q**part - (-1) ** part for part in lam]
-            eps = [1 if part % 2 else -1 for part in lam]
+        for torus in model_tori("2A", n - 1):
+            ms = [q**a - (-1) ** a for a, _ in torus]
+            eps = [1 if a % 2 else -1 for a, _ in torus]
             if math.prod(ms) > 400_000:
                 continue
             center = tuple(m // w for m in ms)
             expected = brute_signed_quotient_exponent(ms, eps, r, center)
-            assert _a_family_exponent(n, q, lam, twisted=True) == expected, (n, q, lam)
+            assert ts._a_family_exponent(q, torus, twisted=True) == expected, (n, q, torus)
 
 
 def brute_bcd_exponent(family, q, plus, minus):
@@ -217,28 +248,23 @@ def brute_bcd_exponent(family, q, plus, minus):
 
 
 def test_bcd_exponents_against_enumeration():
-    from ordspectra.torus_spectra import (
-        _bcd_family_exponent,
-        _fact_value,
-        signed_partitions,
-    )
-
     for family, d_range, qs in [
         ("B", (1, 2, 3), (2, 3, 5)),
         ("C", (1, 2, 3), (3, 5, 9)),
         ("D", (2, 3, 4), (2, 3, 5)),
         ("2D", (2, 3, 4), (3, 5)),
     ]:
-        parity = {"D": 0, "2D": 1}.get(family)
         for d in d_range:
             for q in qs:
-                for plus, minus in signed_partitions(d, parity):
+                for torus in model_tori(family, d):
+                    plus = [a for a, s in torus if s == -1]
+                    minus = [b for b, s in torus if s == 1]
                     ms = [q**a - 1 for a in plus] + [q**b + 1 for b in minus]
                     if math.prod(ms) > 400_000 or not ms:
                         continue
-                    got = _fact_value(_bcd_family_exponent(family, q, plus, minus))
+                    got = ts._fact_value(ts._bcd_family_exponent(family, q, torus))
                     want = brute_bcd_exponent(family, q, plus, minus)
-                    assert got == want, (family, d, q, plus, minus)
+                    assert got == want, (family, d, q, torus)
 
 
 def test_go_formulas_match_oracle(get_group):
@@ -334,16 +360,14 @@ def smith_lattice_exponent(n, q, parts, twisted):
 
 
 def test_a_family_exponent_matches_smith_form():
-    from ordspectra.torus_spectra import _a_family_exponent, partitions
-
     nontrivial_centre = 0
     for q in (2, 3, 4, 5, 7, 9):
         for n in range(1, 15):
             for twisted in (False, True):
                 w = math.gcd(n, q + 1 if twisted else q - 1)
-                for lam in partitions(n):
-                    want = smith_lattice_exponent(n, q, lam, twisted)
-                    assert _a_family_exponent(n, q, lam, twisted) == want, (n, q, lam, twisted)
+                for torus in model_tori("2A" if twisted else "A", n - 1):
+                    want = smith_lattice_exponent(n, q, [a for a, _ in torus], twisted)
+                    assert ts._a_family_exponent(q, torus, twisted) == want, (n, q, torus, twisted)
                     nontrivial_centre += w > 1
     assert nontrivial_centre > 1000
 

@@ -5,6 +5,7 @@ run."""
 import importlib.util
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from ordspectra import bounds, survey
 
@@ -51,3 +52,26 @@ def test_aut_probes_record_calls():
     finally:
         tracer.uninstall()
     assert (oracle.nr_aut_orbits, oracle.generic_nr_aut_orbits) == originals
+
+
+def test_torus_probe_counts_tori():
+    """The probe replaces ``_simple_torus_exponents(spec)`` and reads
+    ``_fact_tau``; B_4 has 20 tori, one per pair of partitions of 4."""
+    from ordspectra import lie_catalog
+    from ordspectra import torus_spectra as ts
+
+    tracing = _load_tracing()
+    spec = lie_catalog.make_spec("B", 4, 3)
+    exponents = list(ts._simple_torus_exponents(spec))
+    probe = SimpleNamespace(union=lambda spec: list(ts._simple_torus_exponents(spec)))
+    tracer = tracing.Tracer(time.perf_counter)
+    try:
+        tracing.install_probes(tracer)
+        assert list(ts._simple_torus_exponents(spec)) == exponents
+        tracer.span([probe], "union", "torus_spectra.semisimple_orders_simple")
+        probe.union(spec)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["torus_spectra.bound_tori"] == len(exponents) == 20
+    assert tracer.counts["torus_spectra.union_tori"] == 20
+    assert tracer.counts["torus_spectra.divisors_emitted"] == sum(map(ts._fact_tau, exponents))
