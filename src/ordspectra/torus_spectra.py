@@ -15,8 +15,8 @@ may take and how many +1 blocks a torus may have:
   (the plus form) and an odd number for 2D (the minus form).
 
 The ambient GL/GU/GO order sets, the per-torus reference enumeration
-(``_simple_torus_exponents``) and the support walk below all read this
-model; ``_tori`` lists every torus of it once.
+(``_simple_torus_exponents``), the union path and the support walk below
+all read this model; ``_tori`` lists every torus of it once.
 
 Since each torus is abelian, its set of element orders is exactly the
 divisor set of its exponent, so the group's semisimple order set is the
@@ -34,12 +34,18 @@ character and the centre cost a bounded factor (``_a_family_exponent``,
 ``_bcd_family_exponent``).  Both are gated by brute-force enumeration
 and by oracle equality on every small group in the test grid.
 
-So the exact order set only needs the tori with one or two blocks, O(d)
-of them, and for the rest the *supports*: the sets of distinct blocks
-that repeated blocks fill to a torus with at least three blocks.
-Each distinct exponent contributes its divisors once.  The level-1
-bound sums the divisor count of every torus instead: a support's count
-is added once per torus that fills it.
+So the exact order set only needs a few tori (``_merge_free_tori``).
+Merging two equal blocks (a, s) of a torus with at least four blocks
+into one block (2a, -1) gives a torus of the same model whose exponent
+is a multiple, so the tori with at most three blocks, O(d**2) of them,
+and the tori of at least four pairwise distinct blocks carry every
+exponent.  Of their distinct exponents only those that divide no other
+(``_maximal_exponents``) contribute their divisors, into one set whose
+size is the count.  The level-1 bound sums the divisor count of every
+torus instead, so it keeps the tori with one or two blocks and the
+*supports* (``_supports``): the sets of distinct blocks that repeated
+blocks fill to a torus with at least three blocks, whose count is added
+once per torus that fills it.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -51,6 +57,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator
 
 from . import arith
@@ -171,21 +178,30 @@ def _block_model(family: str, d: int) -> tuple[int, list[tuple[int, ...]], int |
     raise DomainError(f"{family} is not a classical family")
 
 
-def _tori(size: int, signs: list[tuple[int, ...]], parity: int | None
+def _tori(size: int, signs: list[tuple[int, ...]], parity: int | None,
+          most: int | None = None, distinct: bool = False
           ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every torus of the model once, as its tuple of blocks (a, s) in
-    descending size; size 0 yields the empty torus."""
+    descending size; size 0 yields the empty torus.  ``most`` bounds the
+    number of blocks, and ``distinct`` keeps the tori whose blocks are
+    pairwise distinct; both prune the walk instead of filtering it."""
     blocks = [(a, s) for a in range(size, 0, -1) for s in signs[a]]
+    # room[i]: the total size of blocks[i:], the most distinct blocks from i on fill
+    room = list(accumulate((a for a, _ in reversed(blocks)), initial=0))[::-1]
+    step = 1 if distinct else 0
 
     def walk(rest, start, torus, plus):
         if rest == 0:
             if parity is None or plus % 2 == parity:
                 yield torus
             return
+        left = None if most is None else most - len(torus)
         for i in range(start, len(blocks)):
             a, s = blocks[i]
+            if (distinct and room[i] < rest) or (left is not None and a * left < rest):
+                return
             if a <= rest:
-                yield from walk(rest - a, i, torus + ((a, s),), plus + (s == 1))
+                yield from walk(rest - a, i + step, torus + ((a, s),), plus + (s == 1))
 
     return walk(size, 0, (), 0)
 
@@ -406,9 +422,9 @@ def _torus_exponent(spec: LieSpec, torus) -> Factored:
 
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
     """Factored exponents of the simple-group torus images, one per class:
-    the plain enumeration over every torus, which the support-based
-    ``semisimple_orders_simple`` and ``nr_semisimple_orders_bound`` are
-    tested against."""
+    the plain enumeration over every torus, which the merge-free
+    ``semisimple_orders_simple`` and the support-based
+    ``nr_semisimple_orders_bound`` are tested against."""
     for torus in _tori(*_block_model(spec.family, spec.d)):
         yield _torus_exponent(spec, torus)
 
@@ -489,25 +505,99 @@ def _nr_fillings(rest: int, support, parity: int | None) -> int:
     return (odd if want else even)[rest]
 
 
-def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
-    """Set of semisimple element orders of the classical simple group:
-    the divisors of each distinct torus exponent, taken once."""
-    few, size, signs, parity = _torus_model(spec)
-    exponents = {_fact_value(exp): exp for exp in few}
-    for support, _, lcm in _supports(size, spec.q, signs, parity):
-        if lcm not in exponents:
-            exponents[lcm] = _support_lcm(spec.q, support)
+def _merge_free_tori(size: int, signs: list[tuple[int, ...]], parity: int | None
+                     ) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The tori whose exponents the union of divisor sets needs: (i) every
+    torus with at most three blocks, then (ii) every torus of at least
+    four pairwise distinct blocks.  Each exponent of another torus
+    divides the exponent of one of these.
+
+    Merge lemma.  Let T have k >= 4 blocks, one of them (a, s) at least
+    twice, and let T' replace two copies of (a, s) by one block (2a, -1).
+    T' is a torus of the same model: (2a, -1) is a block of every family
+    (A has only the sign -1, and 2A gives even sizes the sign -1), the
+    sizes still sum to the model size, and the number of +1 blocks drops
+    by 0 or 2, so its parity is kept.  T and T' have k and k - 1 >= 3
+    blocks, so both exponents are lcms (module docstring), and since
+    q**a + s divides q**(2a) - 1, exp(T) divides exp(T').  Each merge
+    removes one block, so merging until no block repeats or only three
+    blocks are left ends at a torus of kind (i) or (ii).
+
+    Kind (ii) needs no fill test: its blocks sum to the model size with
+    no extra copies, so the walk prunes a branch as soon as the distinct
+    blocks still free are too small to fill the rest."""
+    yield from _tori(size, signs, parity, most=3)
+    for torus in _tori(size, signs, parity, distinct=True):
+        if len(torus) >= 4:
+            yield torus
+
+
+def _maximal_exponents(exponents) -> list[Factored]:
+    """The exponents that divide no other, one per value: their divisor
+    sets have the same union as those of all the exponents.
+
+    Bit j of ``at_least[p, k]`` says that exponent j has p-adic
+    valuation >= k, so the AND of the bitmaps of an exponent's prime
+    powers is the set of exponents it divides; it is maximal when that
+    set is itself alone.  Each bitmap is built from a byte array, in
+    time linear in the number of exponents."""
+    unique = list({_fact_value(f): f for f in exponents}.values())
+    width = (len(unique) + 7) // 8
+    rows: dict[int, dict[int, bytearray]] = {}
+    for j, f in enumerate(unique):
+        for p, k in f.items():
+            if k:
+                row = rows.setdefault(p, {}).setdefault(k, bytearray(width))
+                row[j >> 3] |= 1 << (j & 7)
+    at_least: dict[tuple[int, int], int] = {}
+    for p, by_k in rows.items():
+        bits = 0
+        for k in sorted(by_k, reverse=True):
+            bits |= int.from_bytes(by_k[k], "little")
+            at_least[p, k] = bits
+    everyone = (1 << len(unique)) - 1
+    kept = []
+    for j, f in enumerate(unique):
+        multiples = everyone
+        for p, k in f.items():
+            if k:
+                multiples &= at_least[p, k]
+        if multiples == 1 << j:
+            kept.append(f)
+    return kept
+
+
+def _semisimple_order_set(spec: LieSpec) -> set[int]:
+    """The semisimple element orders of a classical simple group: the
+    divisors of the maximal exponents of the merge-free tori."""
+    q = spec.q
+    size, signs, parity = _block_model(spec.family, spec.d)
+    factor = {(a, s): q**a + s for a in range(1, size + 1) for s in signs[a]}
+    exponents: dict[int, Factored] = {}
+    for torus in _merge_free_tori(size, signs, parity):
+        if len(torus) <= 2:  # from three blocks on, the exponent is the lcm
+            exponent = _torus_exponent(spec, torus)
+            exponents.setdefault(_fact_value(exponent), exponent)
+        else:
+            lcm = math.lcm(*(factor[block] for block in torus))
+            if lcm not in exponents:
+                exponents[lcm] = _support_lcm(q, torus)
     out: set[int] = set()
-    for exp in exponents.values():
-        out.update(_fact_divisors(exp))
-    return OrderSet.from_iterable(out)
+    for exponent in _maximal_exponents(exponents.values()):
+        out.update(_fact_divisors(exponent))
+    return out
+
+
+def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
+    """Set of semisimple element orders of the classical simple group."""
+    return OrderSet(tuple(sorted(_semisimple_order_set(spec))))
 
 
 def nr_semisimple_orders(spec: LieSpec) -> int:
     """Exact count of semisimple element orders (quality level 2)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
-    return len(semisimple_orders_simple(spec))
+    return len(_semisimple_order_set(spec))
 
 
 def nr_semisimple_orders_bound(spec: LieSpec) -> int:

@@ -2,6 +2,8 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordspectra import lie_catalog as lc
 from ordspectra import torus_spectra as ts
@@ -372,12 +374,16 @@ def test_a_family_exponent_matches_smith_form():
     assert nontrivial_centre > 1000
 
 
+def twisted_q(family, q):
+    return q * q if family in ("2A", "2D") else q
+
+
 @pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
 def test_supports_match_per_torus_enumeration(family):
-    """The union and the level-1 sum over supports equal the union and the
-    sum over every torus."""
+    """The merge-free union and the level-1 sum over supports equal the
+    union and the sum over every torus."""
     for q in (2, 3):
-        Q = q * q if family in ("2A", "2D") else q
+        Q = twisted_q(family, q)
         for d in range(2 if family in ("D", "2D") else 1, 16):
             spec = lc.make_spec(family, d, Q)
             union, total = set(), 0
@@ -388,7 +394,86 @@ def test_supports_match_per_torus_enumeration(family):
             assert ts.nr_semisimple_orders_bound(spec) == total, (family, d, Q)
 
 
+def support_walk_union(spec):
+    """The order set as the union over the one- and two-block tori and
+    every support of ``_supports``, each distinct exponent taken once."""
+    few, size, signs, parity = ts._torus_model(spec)
+    exponents = {ts._fact_value(exponent): exponent for exponent in few}
+    for support, _, lcm in ts._supports(size, spec.q, signs, parity):
+        if lcm not in exponents:
+            exponents[lcm] = ts._support_lcm(spec.q, support)
+    union = set()
+    for exponent in exponents.values():
+        union.update(ts._fact_divisors(exponent))
+    return union
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
+def test_union_matches_support_walk(family):
+    for q in (4, 5, 7, 9):
+        Q = twisted_q(family, q)
+        for d in range(2 if family in ("D", "2D") else 1, 17):
+            spec = lc.make_spec(family, d, Q)
+            want = support_walk_union(spec)
+            assert ts.nr_semisimple_orders(spec) == len(want), (family, d, Q)
+            assert ts.semisimple_orders_simple(spec).values == tuple(sorted(want)), (family, d, Q)
+
+
+def test_merge_lemma():
+    """Two equal blocks (a, s) of a torus with at least four blocks merge
+    into one block (2a, -1): a torus of the same model whose exponent is
+    a multiple of the original's."""
+    merged_tori = 0
+    for family, q in product(["A", "2A", "B", "C", "D", "2D"], (2, 3, 4, 5, 9)):
+        for d in range(2 if family in ("D", "2D") else 1, 13):
+            spec = lc.make_spec(family, d, twisted_q(family, q))
+            tori = set(model_tori(family, d))
+            for torus in tori:
+                if len(torus) < 4:
+                    continue
+                exponent = ts._fact_value(ts._torus_exponent(spec, torus))
+                for a, s in set(torus):
+                    if torus.count((a, s)) < 2:
+                        continue
+                    rest = list(torus)
+                    rest.remove((a, s))
+                    rest.remove((a, s))
+                    merged = tuple(sorted(rest + [(2 * a, -1)], key=lambda b: (-b[0], b[1])))
+                    assert merged in tori, (family, d, torus)
+                    merged_exponent = ts._fact_value(ts._torus_exponent(spec, merged))
+                    assert merged_exponent % exponent == 0, (family, d, q, torus)
+                    merged_tori += 1
+    assert merged_tori > 50_000
+
+
+@st.composite
+def factored_exponents(draw):
+    """Factored exponents over a few primes, with repeats, and with equal
+    values written with and without zero exponents."""
+    primes = (2, 3, 5, 7)
+    exponents = draw(st.lists(st.fixed_dictionaries(
+        {}, optional={p: st.integers(0, 3) for p in primes}), max_size=30))
+    repeats = draw(st.lists(st.sampled_from(exponents), max_size=5)) if exponents else []
+    padded = [{**f, p: 0} for f in exponents[:3] for p in primes if p not in f][:5]
+    return draw(st.permutations(exponents + [dict(f) for f in repeats] + padded))
+
+
+@given(factored_exponents())
+@settings(max_examples=200, deadline=None)
+def test_maximal_exponents(exponents):
+    values = {ts._fact_value(f) for f in exponents}
+    maximal = {v for v in values if not any(w != v and w % v == 0 for w in values)}
+    kept = ts._maximal_exponents(exponents)
+    assert sorted(ts._fact_value(f) for f in kept) == sorted(maximal)
+
+    def divisors(factored):
+        return {d for f in factored for d in ts._fact_divisors(f)}
+
+    assert divisors(kept) == divisors(exponents)
+
+
 def test_counts_match_pinned_frontier():
+    """Every count pinned for the benchmark's frontier ladders."""
     import json
     from pathlib import Path
 
@@ -399,8 +484,7 @@ def test_counts_match_pinned_frontier():
     for name, entry in frontier.items():
         family, Q = name.split("/")
         for d, count in entry["counts"].items():
-            if int(d) <= 18:
-                spec = lc.make_spec(family, int(d), int(Q))
-                assert ts.nr_semisimple_orders(spec) == count, (name, d)
-                checked += 1
-    assert checked >= 200
+            spec = lc.make_spec(family, int(d), int(Q))
+            assert ts.nr_semisimple_orders(spec) == count, (name, d)
+            checked += 1
+    assert checked == 328
