@@ -44,8 +44,9 @@ exponent.  Of their distinct exponents only those that divide no other
 size is the count.  The level-1 bound sums the divisor count of every
 torus instead, so it keeps the tori with one or two blocks and the
 *supports* (``_supports``): the sets of distinct blocks that repeated
-blocks fill to a torus with at least three blocks, whose count is added
-once per torus that fills it.
+blocks fill to a torus with at least three blocks.  The walk counts the
+tori of each support, which share its exponent, with a packed
+polynomial cut to the size still to fill.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -98,14 +99,6 @@ def _fact_value(f: Factored) -> int:
     out = 1
     for p, k in f.items():
         out *= p**k
-    return out
-
-
-def _fact_lcm(a: Factored, b: Factored) -> Factored:
-    out = dict(a)
-    for p, k in b.items():
-        if out.get(p, 0) < k:
-            out[p] = k
     return out
 
 
@@ -210,7 +203,9 @@ def _support_lcm(q: int, blocks) -> Factored:
     """Factored lcm(q**a + s) over the blocks (a, s)."""
     out: Factored = {}
     for a, sign in blocks:
-        out = _fact_lcm(out, _m_factored(q, a, sign))
+        for p, k in _factored_pm1(q, a, sign):
+            if out.get(p, 0) < k:
+                out[p] = k
     return out
 
 
@@ -388,11 +383,8 @@ def _bcd_family_exponent(family: str, q: int, torus) -> Factored:
       block) can be lost, and for exactly two blocks sharing the maximal
       2-adic valuation the exponent is lcm/2.
     """
-    ms = [_m_factored(q, a, s) for a, s in torus]
-    k = len(ms)
-    lcm: Factored = {}
-    for m in ms:
-        lcm = _fact_lcm(lcm, m)
+    lcm = _support_lcm(q, torus)
+    k = len(torus)
     if q % 2 == 0:
         return lcm
     if family in ("B", "C"):
@@ -407,7 +399,7 @@ def _bcd_family_exponent(family: str, q: int, torus) -> Factored:
         return lcm if k >= 2 else _fact_halve(lcm)
     if k == 1:
         return _fact_halve(lcm, 2)
-    if k == 2 and ms[0].get(2, 0) == ms[1].get(2, 0):
+    if k == 2 and _m_factored(q, *torus[0]).get(2, 0) == _m_factored(q, *torus[1]).get(2, 0):
         return _fact_halve(lcm)
     return lcm
 
@@ -443,66 +435,71 @@ def _torus_model(spec: LieSpec):
 
 def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
               ) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
-    """(support, rest, lcm) for every support of a torus of size d with at
-    least three blocks: a set of distinct blocks (a, s), the size rest
-    that extra copies of them must fill, and lcm(q**a + s).
+    """(support, count, lcm) for every support of a torus of size d with
+    at least three blocks: a set of distinct blocks (a, s), the number of
+    tori with exactly these blocks, and lcm(q**a + s).
 
-    A support belongs to such a torus when extra copies of its blocks
-    fill it up to exactly d, with >= 3 blocks in all and, unless
-    ``parity`` is None, a number of +1 blocks of that parity.  The fill
-    test is a bitset knapsack kept along the walk: bit t of ``fills[e]``
-    says that extra copies summing to t exist with e = their number of +1
-    blocks mod 2.
+    A torus has this support when extra copies of its blocks fill it up
+    to exactly d, with >= 3 blocks in all and, unless ``parity`` is None,
+    a number of +1 blocks of that parity.  The walk carries a knapsack:
+    ``fills`` is a pair of polynomials packed into ints, whose slot t
+    (bits t*width on) counts the multisets of extra copies summing to t
+    whose number of +1 blocks has (first) or lacks (second) the parity
+    still asked for.  A node keeps only the slots up to its rest, the
+    most any node below it reads, so its count is its top slot.
+
+    Slot width.  A slot t <= d counts some multisets of blocks (a, s) of
+    total size t, as does every partial sum on the way, so it holds at
+    most A000712(t), the partitions of t into parts of two kinds.
+    A000712(t) <= 1.25*2**t, with equality at t = 2: checked up to
+    t = 20, and past it A000712(t)*0.6**t <= prod (1 - 0.6**k)**-2 < 48.9.
+    So a slot stays below 2**(d + 1), and ``width`` = d + 2 bits never
+    carry into the next slot.
     """
-    mask = (1 << (d + 1)) - 1
-    factor = {(a, sign): q**a + sign for a in range(1, d + 1) for sign in signs[a]}
+    width = d + 2
+    masks = [(1 << (rest + 1) * width) - 1 for rest in range(d + 1)]
 
-    def refill(fills, a, sign):
-        even, odd = fills
-        flips = parity is not None and sign == 1
+    def refill(fills, a, flips, rest):
+        # fills times 1/(1 - x**step) = prod (1 + x**(step*2**k)), cut to the
+        # slots 0..rest; a +1 block under a parity adds its odd copies and
+        # swaps the pair, since it flips the parity the others must have
+        mask = masks[rest]
+        want, other = fills[0] & mask, fills[1] & mask
         step = 2 * a if flips else a
-        while step <= d:  # doubling: closed under every multiple of step
-            even |= (even << step) & mask
-            odd |= (odd << step) & mask
+        while step <= rest:
+            shift = step * width
+            want += (want << shift) & mask
+            other += (other << shift) & mask
             step *= 2
         if flips:
-            even, odd = even | (odd << a) & mask, odd | (even << a) & mask
-        return even, odd
+            shift = a * width
+            return other + ((want << shift) & mask), want + ((other << shift) & mask)
+        return want, other
 
-    # (rest, largest block size still free, support, its number of +1 blocks,
-    # fills, lcm)
-    stack = [(d, d, (), 0, (1, 0), 1)]
+    # per size a: (blocks, flips, factor) of each sign, then of both signs
+    grow = [[(((a, sign),), parity is not None and sign == 1, q**a + sign) for sign in signs[a]]
+            for a in range(d + 1)]
+    pairs = [(((a, -1), (a, 1)), parity is not None, math.lcm(q**a - 1, q**a + 1))
+             if len(signs[a]) == 2 else None for a in range(d + 1)]
+    # (rest, largest block size still free, support, fills, lcm)
+    stack = [(d, d, (), (0, 1) if parity else (1, 0), 1)]
     while stack:
-        rest, top, support, plus, fills, lcm = stack.pop()
+        rest, top, support, fills, lcm = stack.pop()
         blocks = len(support)
-        if (blocks and fills[(parity - plus) % 2 if parity is not None else 0] >> rest & 1
-                and (blocks >= 3 or (blocks == 2 and rest > 0)
-                     or (blocks == 1 and rest >= 2 * support[0][0]))):
-            yield support, rest, lcm
-        for a in range(min(top, rest), 0, -1):
-            for sign in signs[a]:
-                stack.append((rest - a, a - 1, support + ((a, sign),), plus + (sign == 1),
-                              refill(fills, a, sign), math.lcm(lcm, factor[a, sign])))
-            if len(signs[a]) == 2 and 2 * a <= rest:
-                stack.append((rest - 2 * a, a - 1, support + ((a, -1), (a, 1)), plus + 1,
-                              refill(refill(fills, a, -1), a, 1),
-                              math.lcm(lcm, factor[a, -1], factor[a, 1])))
-
-
-def _nr_fillings(rest: int, support, parity: int | None) -> int:
-    """Number of tori with exactly this support whose extra copies fill
-    ``rest``: the same knapsack as in ``_supports``, counting."""
-    want = 0 if parity is None else (parity - sum(s == 1 for _, s in support)) % 2
-    even, odd = [1] + [0] * rest, [0] * (rest + 1)
-    for a, sign in support:
-        flips = parity is not None and sign == 1
-        for t in range(a, rest + 1):
-            if flips:
-                even[t], odd[t] = even[t] + odd[t - a], odd[t] + even[t - a]
-            else:
-                even[t] += even[t - a]
-                odd[t] += odd[t - a]
-    return (odd if want else even)[rest]
+        if blocks >= 3 or (blocks == 2 and rest > 0) or (blocks == 1 and rest >= 2 * support[0][0]):
+            count = fills[0] >> rest * width
+            if count:
+                yield support, count, lcm
+        for a in range(top if top < rest else rest, 0, -1):
+            left = rest - a
+            plain = refill(fills, a, False, left)
+            for block, flips, m in grow[a]:
+                stack.append((left, a - 1, support + block,
+                              refill(fills, a, True, left) if flips else plain, math.lcm(lcm, m)))
+            if a <= left and pairs[a]:
+                block, flips, m = pairs[a]
+                stack.append((left - a, a - 1, support + block, refill(plain, a, flips, left - a),
+                              math.lcm(lcm, m)))
 
 
 def _merge_free_tori(size: int, signs: list[tuple[int, ...]], parity: int | None
@@ -604,16 +601,17 @@ def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     """Upper bound: per-torus divisor counts are summed instead of
     materializing the union (quality level 1).  The tori with one or two
     blocks are summed one by one; the others share the exponent of their
-    support, which counts once per torus (``_nr_fillings``)."""
+    support, which counts once per torus of the support (the count
+    ``_supports`` yields)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
     few, size, signs, parity = _torus_model(spec)
     total = sum(_fact_tau(exp) for exp in few)
     taus: dict[int, int] = {}
-    for support, rest, lcm in _supports(size, spec.q, signs, parity):
+    for support, count, lcm in _supports(size, spec.q, signs, parity):
         if lcm not in taus:
             taus[lcm] = _fact_tau(_support_lcm(spec.q, support))
-        total += _nr_fillings(rest, support, parity) * taus[lcm]
+        total += count * taus[lcm]
     return total
 
 

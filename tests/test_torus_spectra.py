@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -417,6 +418,80 @@ def test_union_matches_support_walk(family):
             want = support_walk_union(spec)
             assert ts.nr_semisimple_orders(spec) == len(want), (family, d, Q)
             assert ts.semisimple_orders_simple(spec).values == tuple(sorted(want)), (family, d, Q)
+
+
+def nr_fillings(rest, support, parity):
+    """Number of tori with exactly this support whose extra copies fill
+    ``rest``: a counting knapsack rebuilt for one support, the reference
+    for the counts that ``_supports`` carries along its walk."""
+    want = 0 if parity is None else (parity - sum(s == 1 for _, s in support)) % 2
+    even, odd = [1] + [0] * rest, [0] * (rest + 1)
+    for a, sign in support:
+        flips = parity is not None and sign == 1
+        for t in range(a, rest + 1):
+            if flips:
+                even[t], odd[t] = even[t] + odd[t - a], odd[t] + even[t - a]
+            else:
+                even[t] += even[t - a]
+                odd[t] += odd[t - a]
+    return (odd if want else even)[rest]
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
+def test_support_counts_match_knapsack(family):
+    """``_supports`` yields each support once: the set of distinct blocks
+    of each torus with at least three blocks, with the number of such
+    tori (equal to the knapsack's count) and the lcm of its factors."""
+    for d in range(2 if family in ("D", "2D") else 1, 15):
+        size, signs, parity = ts._block_model(family, d)
+        want = Counter(tuple(sorted(set(torus), key=lambda b: (-b[0], b[1])))
+                       for torus in ts._tori(size, signs, parity) if len(torus) >= 3)
+        for support, count in want.items():
+            rest = size - sum(a for a, _ in support)
+            assert nr_fillings(rest, support, parity) == count, (family, d, support)
+        for q in (2, 3, 4):
+            got = {}
+            for support, count, lcm in ts._supports(size, q, signs, parity):
+                assert support not in got, (family, d, support)
+                assert lcm == math.lcm(*(q**a + s for a, s in support)), (family, d, q, support)
+                got[support] = count
+            assert got == want, (family, d, q)
+
+
+def test_slot_width_bound():
+    """A000712(t) <= 1.25 * 2**t, the bound that sizes the slots of
+    ``_supports``: checked for t <= 200, tight at t = 2, and implied past
+    t = 20 by the generating function at x = 0.6."""
+    top = 200
+    pairs = [1] + [0] * top
+    for part in range(1, top + 1):
+        for _ in range(2):
+            for t in range(part, top + 1):
+                pairs[t] += pairs[t - part]
+    assert pairs[:11] == [1, 2, 5, 10, 20, 36, 65, 110, 185, 300, 481]
+    assert all(4 * pairs[t] <= 5 * 2**t for t in range(top + 1))
+    assert 4 * pairs[2] == 5 * 2**2
+    assert math.prod((1 - 0.6**k) ** -2 for k in range(1, top)) < 48.9
+    assert 48.9 * 0.6**-21 <= 1.25 * 2**21
+
+
+#: level-1 bounds past the survey's pinned ranks, as computed by the
+#: per-support knapsack that preceded the counting walk
+LEVEL_ONE_BOUNDS = {
+    ("B", 3): {28: 27_784_743, 29: 41_181_201, 30: 60_705_827, 31: 89_007_440,
+               32: 129_853_235},
+    ("C", 3): {28: 27_784_743, 29: 41_181_201, 30: 60_705_827, 31: 89_007_440,
+               32: 129_853_235},
+    ("D", 2): {30: 8_663_187, 31: 12_433_945, 32: 17_761_736},
+    ("2D", 9): {30: 30_351_604, 31: 44_504_322, 32: 64_926_609},
+}
+
+
+def test_level_one_bound_past_survey_pins():
+    for (family, Q), bounds in LEVEL_ONE_BOUNDS.items():
+        for d, bound in bounds.items():
+            spec = lc.make_spec(family, d, Q)
+            assert ts.nr_semisimple_orders_bound(spec) == bound, (family, d, Q)
 
 
 def test_merge_lemma():
