@@ -39,9 +39,15 @@ Merging two equal blocks (a, s) of a torus with at least four blocks
 into one block (2a, -1) gives a torus of the same model whose exponent
 is a multiple, so the tori with at most three blocks, O(d**2) of them,
 and the tori of at least four pairwise distinct blocks carry every
-exponent.  Of their distinct exponents only those that divide no other
-(``_maximal_exponents``) contribute their divisors, into one set whose
-size is the count.  The level-1 bound sums the divisor count of every
+exponent.  The union of the divisor sets of their distinct exponents is
+recorded exactly, without listing it (``_DivisorUnion``): the primes
+that divide the most exponents span a small lattice of bit positions,
+and every divisor of the rest of an exponent, its rare part, keys one
+bitmap over that lattice, the OR of the divisor boxes of the exponents
+it divides.  The count is the sum of the bitmaps' popcounts, and the
+listed order set expands the same bitmaps.  A dominated exponent costs
+one OR.  Which primes are dense changes only the speed, never the
+union.  The level-1 bound sums the divisor count of every
 torus instead, so it keeps the tori with one or two blocks and the
 *supports* (``_supports``): the sets of distinct blocks that repeated
 blocks fill to a torus with at least three blocks.  The walk counts the
@@ -56,9 +62,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterator
 
 from . import arith
@@ -172,16 +179,11 @@ def _block_model(family: str, d: int) -> tuple[int, list[tuple[int, ...]], int |
 
 
 def _tori(size: int, signs: list[tuple[int, ...]], parity: int | None,
-          most: int | None = None, distinct: bool = False
-          ) -> Iterator[tuple[tuple[int, int], ...]]:
+          most: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
     """Every torus of the model once, as its tuple of blocks (a, s) in
     descending size; size 0 yields the empty torus.  ``most`` bounds the
-    number of blocks, and ``distinct`` keeps the tori whose blocks are
-    pairwise distinct; both prune the walk instead of filtering it."""
+    number of blocks, which prunes the walk instead of filtering it."""
     blocks = [(a, s) for a in range(size, 0, -1) for s in signs[a]]
-    # room[i]: the total size of blocks[i:], the most distinct blocks from i on fill
-    room = list(accumulate((a for a, _ in reversed(blocks)), initial=0))[::-1]
-    step = 1 if distinct else 0
 
     def walk(rest, start, torus, plus):
         if rest == 0:
@@ -191,10 +193,10 @@ def _tori(size: int, signs: list[tuple[int, ...]], parity: int | None,
         left = None if most is None else most - len(torus)
         for i in range(start, len(blocks)):
             a, s = blocks[i]
-            if (distinct and room[i] < rest) or (left is not None and a * left < rest):
+            if left is not None and a * left < rest:
                 return
             if a <= rest:
-                yield from walk(rest - a, i + step, torus + ((a, s),), plus + (s == 1))
+                yield from walk(rest - a, i, torus + ((a, s),), plus + (s == 1))
 
     return walk(size, 0, (), 0)
 
@@ -217,6 +219,8 @@ def _ambient_orders(family: str, d: int, q: int) -> OrderSet:
     """The divisors of lcm(q**a + s) over every torus of the family at
     rank d: the orders coprime to the characteristic in its ambient
     group, one torus at a time (the reference for the support walk)."""
+    if arith.prime_power_split(q) is None:
+        raise DomainError(f"q = {q} is not a prime power")
     out: set[int] = set()
     for torus in _tori(*_block_model(family, d)):
         out.update(_fact_divisors(_support_lcm(q, torus)))
@@ -502,12 +506,15 @@ def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
                               math.lcm(lcm, m)))
 
 
-def _merge_free_tori(size: int, signs: list[tuple[int, ...]], parity: int | None
-                     ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The tori whose exponents the union of divisor sets needs: (i) every
-    torus with at most three blocks, then (ii) every torus of at least
-    four pairwise distinct blocks.  Each exponent of another torus
-    divides the exponent of one of these.
+def _merge_free_tori(size: int, q: int, signs: list[tuple[int, ...]], parity: int | None
+                     ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """(torus, lcm(q**a + s) over its blocks (a, s)) for the tori with at
+    least three blocks whose exponents the union of divisor sets needs:
+    (i) every torus of exactly three blocks, then (ii) every torus of at
+    least four pairwise distinct blocks.  With the tori of one or two
+    blocks (``_torus_model``) they carry every exponent: each exponent of
+    another torus divides the exponent of one of these, and from three
+    blocks on the exponent is the lcm (module docstring).
 
     Merge lemma.  Let T have k >= 4 blocks, one of them (a, s) at least
     twice, and let T' replace two copies of (a, s) by one block (2a, -1).
@@ -515,86 +522,137 @@ def _merge_free_tori(size: int, signs: list[tuple[int, ...]], parity: int | None
     (A has only the sign -1, and 2A gives even sizes the sign -1), the
     sizes still sum to the model size, and the number of +1 blocks drops
     by 0 or 2, so its parity is kept.  T and T' have k and k - 1 >= 3
-    blocks, so both exponents are lcms (module docstring), and since
-    q**a + s divides q**(2a) - 1, exp(T) divides exp(T').  Each merge
-    removes one block, so merging until no block repeats or only three
-    blocks are left ends at a torus of kind (i) or (ii).
+    blocks, so both exponents are lcms, and since q**a + s divides
+    q**(2a) - 1, exp(T) divides exp(T').  Each merge removes one block,
+    so merging until no block repeats or only three blocks are left ends
+    at a torus of kind (i) or (ii).
 
     Kind (ii) needs no fill test: its blocks sum to the model size with
     no extra copies, so the walk prunes a branch as soon as the distinct
-    blocks still free are too small to fill the rest."""
-    yield from _tori(size, signs, parity, most=3)
-    for torus in _tori(size, signs, parity, distinct=True):
-        if len(torus) >= 4:
-            yield torus
+    blocks still free are too small to fill the rest.  It carries the
+    lcm down, one ``math.lcm`` per node, as ``_supports`` does."""
+    for torus in _tori(size, signs, parity, most=3):
+        if len(torus) == 3:
+            yield torus, math.lcm(*(q**a + s for a, s in torus))
+    blocks = [(a, s, q**a + s) for a in range(size, 0, -1) for s in signs[a]]
+    # room[i]: the total size of blocks[i:], the most distinct blocks from i on fill
+    room = list(accumulate((a for a, _, _ in reversed(blocks)), initial=0))[::-1]
+    # (rest, first block still free, torus, number of +1 blocks, lcm)
+    stack = [(size, 0, (), 0, 1)]
+    while stack:
+        rest, start, torus, plus, lcm = stack.pop()
+        if rest == 0:
+            if len(torus) >= 4 and (parity is None or plus % 2 == parity):
+                yield torus, lcm
+            continue
+        for i in range(start, len(blocks)):
+            if room[i] < rest:
+                break
+            a, s, m = blocks[i]
+            if a <= rest:
+                stack.append((rest - a, i + 1, torus + ((a, s),), plus + (s == 1),
+                              math.lcm(lcm, m)))
 
 
-def _maximal_exponents(exponents) -> list[Factored]:
-    """The exponents that divide no other, one per value: their divisor
-    sets have the same union as those of all the exponents.
+class _DivisorUnion:
+    """The union of the divisor sets of some factored integers, counted
+    (``len``) or listed (iteration) without building it as a set.
 
-    Bit j of ``at_least[p, k]`` says that exponent j has p-adic
-    valuation >= k, so the AND of the bitmaps of an exponent's prime
-    powers is the set of exponents it divides; it is maximal when that
-    set is itself alone.  Each bitmap is built from a byte array, in
-    time linear in the number of exponents."""
-    unique = list({_fact_value(f): f for f in exponents}.values())
-    width = (len(unique) + 7) // 8
-    rows: dict[int, dict[int, bytearray]] = {}
-    for j, f in enumerate(unique):
-        for p, k in f.items():
-            if k:
-                row = rows.setdefault(p, {}).setdefault(k, bytearray(width))
-                row[j >> 3] |= 1 << (j & 7)
-    at_least: dict[tuple[int, int], int] = {}
-    for p, by_k in rows.items():
-        bits = 0
-        for k in sorted(by_k, reverse=True):
-            bits |= int.from_bytes(by_k[k], "little")
-            at_least[p, k] = bits
-    everyone = (1 << len(unique)) - 1
-    kept = []
-    for j, f in enumerate(unique):
-        multiples = everyone
-        for p, k in f.items():
-            if k:
-                multiples &= at_least[p, k]
-        if multiples == 1 << j:
-            kept.append(f)
-    return kept
+    Dense lattice.  The primes that divide the most integers are
+    dense: taken in that order while the product of their (largest
+    exponent + 1) stays at most the number of integers, they span a
+    mixed-radix lattice, whose position sum(e_i * stride_i) stands for
+    prod p_i**e_i (``lattice`` lists these values).  Bit j of the mask
+    ``at_most[p][e]``, for e below the largest exponent top of p, says
+    that the p-coordinate of position j is at most e; it repeats one run
+    of stride * (e + 1) ones every stride * (top + 1) bits, so it is that
+    run times a repunit.  The AND of one mask per dense prime is the box
+    of the dense divisors of an integer.
+
+    Rare primes.  Every other prime is rare.  A positive n divides E
+    exactly when the rare part of n divides the rare part of E and the
+    dense part of n divides the dense part of E.  So ``boxes`` maps each
+    divisor r of a rare part to the OR of the boxes of the integers whose
+    rare part r divides, and n = r * m is in the union exactly when the
+    bit of m is set in ``boxes[r]``.  Each divisor is one (r, m) pair and
+    each pair one divisor, so the union has sum(bits.bit_count())
+    elements: the bitmaps record it exactly, and which primes are dense
+    changes only the speed (the more dense, the fewer rare keys, but the
+    longer each bitmap)."""
+
+    def __init__(self, integers: list[Factored]) -> None:
+        divides: Counter[int] = Counter()
+        top: Factored = {}
+        for f in integers:
+            for p, k in f.items():
+                if k:
+                    divides[p] += 1
+                    top[p] = max(top.get(p, 0), k)
+        self.lattice = [1]
+        strides = []
+        for p in sorted(divides, key=lambda p: (-divides[p], p)):
+            if len(self.lattice) * (top[p] + 1) > len(integers):
+                break
+            strides.append((p, len(self.lattice)))
+            self.lattice = [v * p**e for e in range(top[p] + 1) for v in self.lattice]
+        full = (1 << len(self.lattice)) - 1
+        at_most: dict[int, list[int]] = {}
+        for p, stride in strides:
+            repunit = full // ((1 << stride * (top[p] + 1)) - 1)
+            at_most[p] = [((1 << stride * (e + 1)) - 1) * repunit for e in range(top[p])]
+        # integers that share a rare part share its keys: OR their boxes first
+        by_rare: dict[int, tuple[Factored, int]] = {}
+        for f in integers:
+            bits = full
+            for p, masks in at_most.items():
+                k = f.get(p, 0)
+                if k < len(masks):
+                    bits &= masks[k]
+            rare = {p: k for p, k in f.items() if p not in at_most}
+            value = _fact_value(rare)
+            if value in by_rare:
+                bits |= by_rare[value][1]
+            by_rare[value] = rare, bits
+        self.boxes: dict[int, int] = {}
+        for rare, bits in by_rare.values():
+            for r in _fact_divisors(rare):
+                self.boxes[r] = self.boxes.get(r, 0) | bits
+
+    def __len__(self) -> int:
+        return sum(bits.bit_count() for bits in self.boxes.values())
+
+    def __iter__(self) -> Iterator[int]:
+        for r, bits in self.boxes.items():
+            # bin(bits)[:1:-1] spells bit j at index j, the lattice position j
+            for m in compress(self.lattice, map("1".__eq__, bin(bits)[:1:-1])):
+                yield r * m
 
 
-def _semisimple_order_set(spec: LieSpec) -> set[int]:
+def _semisimple_order_union(spec: LieSpec) -> _DivisorUnion:
     """The semisimple element orders of a classical simple group: the
-    divisors of the maximal exponents of the merge-free tori."""
-    q = spec.q
-    size, signs, parity = _block_model(spec.family, spec.d)
-    factor = {(a, s): q**a + s for a in range(1, size + 1) for s in signs[a]}
-    exponents: dict[int, Factored] = {}
-    for torus in _merge_free_tori(size, signs, parity):
-        if len(torus) <= 2:  # from three blocks on, the exponent is the lcm
-            exponent = _torus_exponent(spec, torus)
-            exponents.setdefault(_fact_value(exponent), exponent)
-        else:
-            lcm = math.lcm(*(factor[block] for block in torus))
-            if lcm not in exponents:
-                exponents[lcm] = _support_lcm(q, torus)
-    out: set[int] = set()
-    for exponent in _maximal_exponents(exponents.values()):
-        out.update(_fact_divisors(exponent))
-    return out
+    union of the divisor sets of the distinct exponents of the one- and
+    two-block tori and of the merge-free tori."""
+    few, size, signs, parity = _torus_model(spec)
+    exponents = {_fact_value(exponent): exponent for exponent in few}
+    for torus, lcm in _merge_free_tori(size, spec.q, signs, parity):
+        if lcm not in exponents:
+            exponents[lcm] = _support_lcm(spec.q, torus)
+    return _DivisorUnion(list(exponents.values()))
 
 
 def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
     """Set of semisimple element orders of the classical simple group."""
-    return OrderSet(tuple(sorted(_semisimple_order_set(spec))))
+    return OrderSet(tuple(sorted(_semisimple_order_union(spec))))
 
 
 def nr_semisimple_orders(spec: LieSpec) -> int:
-    """Exact count of semisimple element orders (quality level 2)."""
+    """Exact count of semisimple element orders (quality level 2): the
+    popcount of the divisor union of the merge-free torus exponents
+    (``_DivisorUnion``), which records the union exactly without listing
+    it, so the count is the size of the order set."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
-    return len(_semisimple_order_set(spec))
+    return len(_semisimple_order_union(spec))
 
 
 def nr_semisimple_orders_bound(spec: LieSpec) -> int:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ordspectra import lie_catalog as lc
 from ordspectra import torus_spectra as ts
-from ordspectra.errors import DataMissing, NotAvailable
+from ordspectra.errors import DataMissing, DomainError, NotAvailable
 
 
 def test_gl_examples():
@@ -21,6 +21,14 @@ def test_gu_examples():
     assert ts.semisimple_orders_gu(2, 2).values == (1, 3)
     assert ts.semisimple_orders_gu(1, 5).values == (1, 2, 3, 6)
     assert ts.semisimple_orders_gu(3, 2).values == (1, 3, 9)
+
+
+@pytest.mark.parametrize("q", [6, 1, 0, -3])
+def test_ambient_orders_need_a_prime_power(q):
+    for orders in (lambda: ts.semisimple_orders_gl(2, q), lambda: ts.semisimple_orders_gu(2, q),
+                   lambda: ts.semisimple_orders_go(3, q), lambda: ts.semisimple_orders_go(4, q, 1)):
+        with pytest.raises(DomainError, match="not a prime power"):
+            orders()
 
 
 def test_go_examples():
@@ -411,7 +419,7 @@ def support_walk_union(spec):
 
 @pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
 def test_union_matches_support_walk(family):
-    for q in (4, 5, 7, 9):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         Q = twisted_q(family, q)
         for d in range(2 if family in ("D", "2D") else 1, 17):
             spec = lc.make_spec(family, d, Q)
@@ -523,11 +531,13 @@ def test_merge_lemma():
 
 @st.composite
 def factored_exponents(draw):
-    """Factored exponents over a few primes, with repeats, and with equal
-    values written with and without zero exponents."""
-    primes = (2, 3, 5, 7)
-    exponents = draw(st.lists(st.fixed_dictionaries(
-        {}, optional={p: st.integers(0, 3) for p in primes}), max_size=30))
+    """Factored integers over ten primes, with repeats, and with equal
+    values written with and without zero exponents.  The dense lattice
+    holds at most as many positions as there are integers, so some
+    primes are dense and the others key the rare-part bitmaps."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    exponents = draw(st.lists(st.dictionaries(
+        st.sampled_from(primes), st.integers(0, 3), max_size=5), max_size=30))
     repeats = draw(st.lists(st.sampled_from(exponents), max_size=5)) if exponents else []
     padded = [{**f, p: 0} for f in exponents[:3] for p in primes if p not in f][:5]
     return draw(st.permutations(exponents + [dict(f) for f in repeats] + padded))
@@ -535,16 +545,13 @@ def factored_exponents(draw):
 
 @given(factored_exponents())
 @settings(max_examples=200, deadline=None)
-def test_maximal_exponents(exponents):
-    values = {ts._fact_value(f) for f in exponents}
-    maximal = {v for v in values if not any(w != v and w % v == 0 for w in values)}
-    kept = ts._maximal_exponents(exponents)
-    assert sorted(ts._fact_value(f) for f in kept) == sorted(maximal)
-
-    def divisors(factored):
-        return {d for f in factored for d in ts._fact_divisors(f)}
-
-    assert divisors(kept) == divisors(exponents)
+def test_divisor_union(exponents):
+    """The union is counted and listed exactly: each divisor once."""
+    want = {d for f in exponents for d in ts._fact_divisors(f)}
+    union = ts._DivisorUnion(exponents)
+    listed = list(union)
+    assert len(union) == len(listed) == len(want)
+    assert set(listed) == want
 
 
 def test_counts_match_pinned_frontier():
@@ -563,3 +570,22 @@ def test_counts_match_pinned_frontier():
             assert ts.nr_semisimple_orders(spec) == count, (name, d)
             checked += 1
     assert checked == 328
+
+
+#: exact counts at ranks past the frontier pins, as computed by the
+#: divisor-set union that preceded the bitmaps (the divisors of the
+#: maximal exponents gathered into one Python set), which shares no
+#: union code with them
+EXACT_COUNTS = {
+    ("B", 3): {28: 73_763, 32: 207_499},
+    ("C", 3): {29: 95_591, 31: 161_121},
+    ("2D", 9): {28: 66_787, 32: 189_540},
+    ("D", 2): {31: 21_678, 35: 51_493},
+    ("A", 4): {36: 609_427, 40: 1_593_219},
+}
+
+
+def test_counts_past_frontier_pins():
+    for (family, Q), counts in EXACT_COUNTS.items():
+        for d, count in counts.items():
+            assert ts.nr_semisimple_orders(lc.make_spec(family, d, Q)) == count, (family, d, Q)
