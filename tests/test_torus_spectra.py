@@ -41,7 +41,8 @@ def test_go_examples():
 
 
 def model_tori(family, d):
-    return ts._tori(*ts._block_model(family, d))
+    size, signs, parity = ts._block_model(family, d)
+    return (torus for torus, _ in ts._tori(size, 2, signs, parity))
 
 
 #: A000041, the partition numbers p(0..12)
@@ -323,7 +324,6 @@ def test_exceptional_provider():
     assert 21 in full.values
     semisimple = ts.exceptional_semisimple(spec, provider)
     assert all(v % 2 == 1 for v in semisimple.values)
-    assert provider.loaded_families() == {"G2"}
 
 
 def test_smith_diagonal_simple_cases():
@@ -406,8 +406,11 @@ def test_supports_match_per_torus_enumeration(family):
 def support_walk_union(spec):
     """The order set as the union over the one- and two-block tori and
     every support of ``_supports``, each distinct exponent taken once."""
-    few, size, signs, parity = ts._torus_model(spec)
-    exponents = {ts._fact_value(exponent): exponent for exponent in few}
+    size, signs, parity = ts._block_model(spec.family, spec.d)
+    exponents = {}
+    for torus, _ in ts._tori(size, spec.q, signs, parity, most=2):
+        exponent = ts._torus_exponent(spec, torus)
+        exponents[ts._fact_value(exponent)] = exponent
     for support, _, lcm in ts._supports(size, spec.q, signs, parity):
         if lcm not in exponents:
             exponents[lcm] = ts._support_lcm(spec.q, support)
@@ -453,7 +456,7 @@ def test_support_counts_match_knapsack(family):
     for d in range(2 if family in ("D", "2D") else 1, 15):
         size, signs, parity = ts._block_model(family, d)
         want = Counter(tuple(sorted(set(torus), key=lambda b: (-b[0], b[1])))
-                       for torus in ts._tori(size, signs, parity) if len(torus) >= 3)
+                       for torus in model_tori(family, d) if len(torus) >= 3)
         for support, count in want.items():
             rest = size - sum(a for a, _ in support)
             assert nr_fillings(rest, support, parity) == count, (family, d, support)
@@ -464,6 +467,30 @@ def test_support_counts_match_knapsack(family):
                 assert lcm == math.lcm(*(q**a + s for a, s in support)), (family, d, q, support)
                 got[support] = count
             assert got == want, (family, d, q)
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
+def test_pruned_walks_match_full_walk(family):
+    """``_tori`` cut to at most k blocks, or to pairwise distinct blocks,
+    yields exactly the tori of the full walk that qualify, each once and
+    with the lcm of its factors."""
+    cuts = {"full": {}, "most=2": {"most": 2}, "most=3": {"most": 3},
+            "distinct": {"distinct": True}}
+    for d in range(2 if family in ("D", "2D") else 1, 13):
+        size, signs, parity = ts._block_model(family, d)
+        for q in (2, 3, 4):
+            got = {}
+            for name, cut in cuts.items():
+                tori = got[name] = set()
+                for torus, lcm in ts._tori(size, q, signs, parity, **cut):
+                    assert torus not in tori, (family, d, q, name, torus)
+                    assert lcm == math.lcm(*(q**a + s for a, s in torus)), (family, d, q, torus)
+                    tori.add(torus)
+            full = got["full"]
+            assert got["most=2"] == {torus for torus in full if len(torus) <= 2}, (family, d, q)
+            assert got["most=3"] == {torus for torus in full if len(torus) <= 3}, (family, d, q)
+            assert got["distinct"] == {torus for torus in full
+                                       if len(set(torus)) == len(torus)}, (family, d, q)
 
 
 def test_slot_width_bound():
