@@ -100,17 +100,10 @@ def nr_aut_orbits_lower(spec: LieSpec, level: int | None = None,
                         provider: ClassNumberProvider | None = None) -> int:
     """ceil(class-number bound / |Out|), a lower bound on the number of
     Aut-orbits on the simple group."""
-    family = spec.family
+    if spec.family not in CLASSICAL_FAMILIES and level is not None:
+        raise DomainError("exceptional families take no quality level")
     provider = provider if provider is not None else ClassNumberProvider()
-    if family in CLASSICAL_FAMILIES:
-        if level not in LEVELS[family].omega:
-            raise NotAvailable(LEVELS[family].omega_message)
-        k_bound = class_number_lower_bound(spec, level, provider)
-    else:
-        if level is not None:
-            raise DomainError("exceptional families take no quality level")
-        k_bound = class_number_lower_bound(spec, None, provider)
-    return _ceil_div(k_bound, out_order(spec))
+    return _ceil_div(class_number_lower_bound(spec, level, provider), out_order(spec))
 
 
 def epsilon_omega_lower(spec: LieSpec, level: int | None = None,

@@ -55,19 +55,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _render_value(value, precision: int):
+def _render_value(value, precision: int, as_json: bool = False):
+    """The text form of a value, or with ``as_json`` its JSON form:
+    Undefined is null, bools stay bools, floats are numbers and order sets
+    lists, and the rest (exact integers included) strings."""
     if value is UNDEFINED:
-        return "undefined"
+        return None if as_json else "undefined"
     if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
+        return value if as_json else str(value)
     if isinstance(value, float):
-        return format(value, f".{precision}g")
+        text = format(value, f".{precision}g")
+        return float(text) if as_json else text
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, OrderSet):
-        return ",".join(str(v) for v in value.values)
+        values = [str(v) for v in value.values]
+        return values if as_json else ",".join(values)
     return str(value)
 
 
@@ -75,23 +78,8 @@ def _emit(rows: list[dict], args) -> None:
     precision = args.precision
     if args.json:
         for row in rows:
-            out = {}
-            for key, value in row.items():
-                if value is UNDEFINED:
-                    out[key] = None
-                elif isinstance(value, bool):
-                    out[key] = value
-                elif isinstance(value, int):
-                    out[key] = str(value)
-                elif isinstance(value, float):
-                    out[key] = float(format(value, f".{precision}g"))
-                elif isinstance(value, Fraction):
-                    out[key] = f"{value.numerator}/{value.denominator}"
-                elif isinstance(value, OrderSet):
-                    out[key] = [str(v) for v in value.values]
-                else:
-                    out[key] = str(value)
-            print(json.dumps(out, sort_keys=True))
+            print(json.dumps({k: _render_value(v, precision, True) for k, v in row.items()},
+                             sort_keys=True))
         return
     if len(rows) == 1 and len(rows[0]) == 1:
         print(_render_value(next(iter(rows[0].values())), precision))

@@ -14,10 +14,11 @@ may take and how many +1 blocks a torus may have:
 * D/2D (GO+/-_{2d}): as B/C, with an even number of +1 blocks for D
   (the plus form) and an odd number for 2D (the minus form).
 
-The ambient GL/GU/GO order sets, the per-torus reference enumeration
-(``_simple_torus_exponents``), the union path, the bound and the support
-walk below all read this model.  ``_tori`` is the one walk that lists
-its tori: each once, with the lcm of its factors, optionally pruned to
+The order sets of the ambient GL/GU/GO and of the simple groups (one
+union path, ``_order_union``), the per-torus reference enumeration
+(``_simple_torus_exponents``), the level-1 bound and its support walk
+(``_supports``) all read this model.  ``_tori`` is the one walk that
+lists tori: each once, with the lcm of its factors, optionally pruned to
 at most a given number of blocks or to pairwise distinct blocks.
 
 Since each torus is abelian, its set of element orders is exactly the
@@ -36,27 +37,27 @@ character and the centre cost a bounded factor (``_a_family_exponent``,
 ``_bcd_family_exponent``).  Both are gated by brute-force enumeration
 and by oracle equality on every small group in the test grid.
 
-So the exact order set only needs a few tori
-(``_semisimple_order_union``).  Merging two equal blocks (a, s) of a
-torus with at least four blocks into one block (2a, -1) gives a torus
-of the same model whose exponent is a multiple, so the tori with at most
-three blocks, O(d**2) of them, and the tori of at least four pairwise
-distinct blocks carry every exponent: two pruned walks of ``_tori``
-list them.  The union of the divisor sets of their distinct exponents is
-recorded exactly, without listing it (``_DivisorUnion``): the primes
-that divide the most exponents span a small lattice of bit positions,
-and every divisor of the rest of an exponent, its rare part, keys one
-bitmap over that lattice, the OR of the divisor boxes of the exponents
-it divides.  The count is the sum of the bitmaps' popcounts, and the
-listed order set expands the same bitmaps.  A dominated exponent costs
-one OR.  Which primes are dense changes only the speed, never the
-union.  The level-1 bound sums the divisor count of every
-torus instead, so it reads the tori with one or two blocks (``_tori``
-cut to two blocks) and the *supports* (``_supports``): the sets of
-distinct blocks that repeated blocks fill to a torus with at least three
-blocks.  ``_supports`` counts the tori of each support, which share its
-exponent, with a packed polynomial cut to the size still to fill,
-without listing them.
+So the exact order set only needs a few tori (``_order_union``, for the
+simple groups and the ambients alike, whose exponent is the lcm at every
+block count).  Merging two equal blocks (a, s) of a torus with at least
+four blocks into one block (2a, -1) gives a torus of the same model
+whose exponent is a multiple, so the tori with at most three blocks,
+O(d**2) of them, and the tori of at least four pairwise distinct blocks
+carry every exponent: two pruned walks of ``_tori`` list them.  The
+union of the divisor sets of their distinct exponents is recorded
+exactly, without listing it (``_DivisorUnion``): the primes that divide
+the most exponents span a small lattice of bit positions, and every
+divisor of the rest of an exponent, its rare part, keys one bitmap over
+that lattice, the OR of the divisor boxes of the exponents it divides.
+The count is the sum of the bitmaps' popcounts, and the listed order set
+expands the same bitmaps.  A dominated exponent costs one OR.  Which
+primes are dense changes only the speed, never the union.  The level-1
+bound sums the divisor count of every torus instead, so it reads the
+tori with one or two blocks (``_tori`` cut to two blocks) and the
+*supports* (``_supports``): the sets of distinct blocks that repeated
+blocks fill to a torus with at least three blocks.  ``_supports`` counts
+the tori of each support, which share its exponent, with a packed
+polynomial cut to the size still to fill, without listing them.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -68,7 +69,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, compress
 from typing import Iterator
 
@@ -223,16 +224,12 @@ def _support_lcm(q: int, blocks) -> Factored:
 
 
 def _ambient_orders(family: str, d: int, q: int) -> OrderSet:
-    """The divisors of lcm(q**a + s) over every torus of the family at
-    rank d: the orders coprime to the characteristic in its ambient
-    group, one torus at a time (the reference for the support walk)."""
+    """The orders coprime to the characteristic in the ambient group of
+    the family at rank d: the divisors of lcm(q**a + s) over its tori,
+    which ``_order_union`` reads from the tori the merge lemma keeps."""
     if arith.prime_power_split(q) is None:
         raise DomainError(f"q = {q} is not a prime power")
-    size, signs, parity = _block_model(family, d)
-    out: set[int] = set()
-    for torus, _ in _tori(size, q, signs, parity):
-        out.update(_fact_divisors(_support_lcm(q, torus)))
-    return OrderSet.from_iterable(out)
+    return _order_union(family, d, q, partial(_support_lcm, q)).orders()
 
 
 def semisimple_orders_gl(n: int, q: int) -> OrderSet:
@@ -576,14 +573,20 @@ class _DivisorUnion:
             for m in compress(self.lattice, map("1".__eq__, bin(bits)[:1:-1])):
                 yield r * m
 
+    def orders(self) -> OrderSet:
+        return OrderSet(tuple(sorted(self)))
 
-def _semisimple_order_union(spec: LieSpec) -> _DivisorUnion:
-    """The semisimple element orders of a classical simple group: the
-    union of the divisor sets of the distinct exponents of (i) the tori
-    with at most three blocks and (ii) the tori of at least four pairwise
-    distinct blocks.  These carry every exponent: each exponent of
-    another torus divides the exponent of one of them.  From three blocks
-    on the exponent is the lcm the walk carries (module docstring).
+
+def _order_union(family: str, d: int, q: int, exponent) -> _DivisorUnion:
+    """The element orders of the tori of a classical family at rank d:
+    the union of the divisor sets of the distinct exponents of (i) the
+    tori with at most three blocks and (ii) the tori of at least four
+    pairwise distinct blocks.  These carry every exponent: each exponent
+    of another torus divides the exponent of one of them.  ``exponent``
+    gives the factored exponent of a torus with one or two blocks; from
+    three blocks on the exponent is the lcm the walk carries, in the
+    simple groups (module docstring) and in the ambients, where it is
+    the lcm at every block count.
 
     Merge lemma.  Let T have k >= 4 blocks, one of them (a, s) at least
     twice, and let T' replace two copies of (a, s) by one block (2a, -1).
@@ -595,34 +598,38 @@ def _semisimple_order_union(spec: LieSpec) -> _DivisorUnion:
     q**(2a) - 1, exp(T) divides exp(T').  Each merge removes one block,
     so merging until no block repeats or only three blocks are left ends
     at a torus of kind (i) or (ii)."""
-    size, signs, parity = _block_model(spec.family, spec.d)
+    size, signs, parity = _block_model(family, d)
     exponents: dict[int, Factored] = {}
-    for torus, lcm in _tori(size, spec.q, signs, parity, most=3):
+    for torus, lcm in _tori(size, q, signs, parity, most=3):
         if len(torus) < 3:
-            exponent = _torus_exponent(spec, torus)
-            exponents[_fact_value(exponent)] = exponent
+            f = exponent(torus)
+            exponents[_fact_value(f)] = f
         elif lcm not in exponents:
-            exponents[lcm] = _support_lcm(spec.q, torus)
-    for torus, lcm in _tori(size, spec.q, signs, parity, distinct=True):
+            exponents[lcm] = _support_lcm(q, torus)
+    for torus, lcm in _tori(size, q, signs, parity, distinct=True):
         if len(torus) >= 4 and lcm not in exponents:
-            exponents[lcm] = _support_lcm(spec.q, torus)
+            exponents[lcm] = _support_lcm(q, torus)
     return _DivisorUnion(list(exponents.values()))
+
+
+def _simple_order_union(spec: LieSpec) -> _DivisorUnion:
+    return _order_union(spec.family, spec.d, spec.q, partial(_torus_exponent, spec))
 
 
 def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
     """Set of semisimple element orders of the classical simple group."""
-    return OrderSet(tuple(sorted(_semisimple_order_union(spec))))
+    return _simple_order_union(spec).orders()
 
 
 def nr_semisimple_orders(spec: LieSpec) -> int:
     """Exact count of semisimple element orders (quality level 2): the
     popcount of the divisor union of the torus exponents that
-    ``_semisimple_order_union`` keeps (``_DivisorUnion``), which records
+    ``_order_union`` keeps (``_DivisorUnion``), which records
     the union exactly without listing it, so the count is the size of the
     order set."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
-    return len(_semisimple_order_union(spec))
+    return len(_simple_order_union(spec))
 
 
 def nr_semisimple_orders_bound(spec: LieSpec) -> int:
@@ -671,10 +678,15 @@ def suzuki_spectrum(Q: int) -> OrderSet:
     r = math.isqrt(2 * Q)
     if r * r != 2 * Q:
         raise DomainError("Q must be an odd power of 2")
-    out: set[int] = set()
-    for m in (4, Q - 1, Q + r + 1, Q - r + 1):
-        out.update(_fact_divisors(dict(arith.factorize(m))))
-    return OrderSet.from_iterable(out)
+    return _DivisorUnion([dict(arith.factorize(m))
+                          for m in (4, Q - 1, Q + r + 1, Q - r + 1)]).orders()
+
+
+def _ingested_spectrum(spec: LieSpec, provider: SpectrumProvider | None) -> OrderSet:
+    got = None if provider is None else provider.get(spec.family, spec.Q)
+    if got is None:
+        raise DataMissing(f"spectrum {spec.family} {spec.Q}")
+    return got
 
 
 def exceptional_spectrum(spec: LieSpec, provider: SpectrumProvider | None = None) -> OrderSet:
@@ -683,28 +695,16 @@ def exceptional_spectrum(spec: LieSpec, provider: SpectrumProvider | None = None
     if family not in EXCEPTIONAL_RANK:
         raise DomainError(f"{family} is not an exceptional family")
     if family == "E8":
-        raise NotAvailable(
-            "No full element-order spectrum is available for family E8."
-        )
+        raise NotAvailable("No full element-order spectrum is available for family E8.")
     if family == "2B2":
         return suzuki_spectrum(spec.Q)
-    if provider is not None:
-        got = provider.get(family, spec.Q)
-        if got is not None:
-            return got
-    raise DataMissing(f"spectrum {family} {spec.Q}")
+    return _ingested_spectrum(spec, provider)
 
 
 def exceptional_semisimple(spec: LieSpec, provider: SpectrumProvider | None = None) -> OrderSet:
-    """Semisimple (prime-to-p) subset of the exceptional spectrum."""
-    family = spec.family
-    if family not in EXCEPTIONAL_RANK:
-        raise DomainError(f"{family} is not an exceptional family")
-    if family == "E8":
-        if provider is not None:
-            got = provider.get(family, spec.Q)
-            if got is not None:
-                return got
-        raise DataMissing(f"spectrum E8 {spec.Q}")
+    """Semisimple (prime-to-p) subset of the exceptional spectrum; for E8,
+    whose records are semisimple spectra, the ingested record itself."""
+    if spec.family == "E8":
+        return _ingested_spectrum(spec, provider)
     full = exceptional_spectrum(spec, provider)
-    return OrderSet.from_iterable(v for v in full.values if v % spec.p != 0)
+    return OrderSet(tuple(v for v in full.values if v % spec.p != 0))

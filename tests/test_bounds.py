@@ -53,6 +53,34 @@ def test_omega_bound_messages(store):
     assert err.value.message == messages.LEVEL_1_OR_2
 
 
+def outcome(compute):
+    try:
+        return "value", compute()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_omega_bound_levels_follow_class_number_bound(store):
+    """The Aut-orbit bound takes exactly the levels of the class-number
+    bound: at every level both refuse with the same error and message,
+    or both give a value."""
+    specs = [lc.make_spec("A", 1, 5), lc.make_spec("2A", 2, 9), lc.make_spec("B", 2, 3),
+             lc.make_spec("C", 2, 3), lc.make_spec("D", 4, 2), lc.make_spec("2D", 4, 4)]
+    assert {spec.family for spec in specs} == set(lc.CLASSICAL_FAMILIES)
+    values = 0
+    for spec in specs:
+        for level in (None, 0, 1, 2, 3):
+            got = outcome(lambda: bounds.nr_aut_orbits_lower(spec, level, store.class_numbers))
+            want = outcome(lambda: bounds.class_number_lower_bound(
+                spec, level, store.class_numbers))
+            assert got[0] == want[0], (spec.family, level, got, want)
+            if got[0] == "value":
+                values += 1
+            else:
+                assert got[1] == want[1], (spec.family, level)
+    assert values == 8
+
+
 def test_epsilon_omega(store):
     result = bounds.epsilon_omega_lower(lc.make_spec("2B2", Q=8), None,
                                         store.class_numbers)

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +152,48 @@ def test_cli_json_round_trip(capsys):
     assert isinstance(payload["value"], float)
     # round trip: re-render the parsed object and compare
     assert json.loads(json.dumps(payload, sort_keys=True)) == payload
+
+
+def test_cli_renders_every_value_kind(capsys):
+    """One row holding each kind of value, in text and in JSON."""
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    from ordspectra.survey import UNDEFINED
+    from ordspectra.torus_spectra import OrderSet
+
+    row = {"undefined": UNDEFINED, "flag": True, "exact": 10**20, "real": 100000.0,
+           "ratio": Fraction(7, 1), "orders": OrderSet((1, 2, 4)), "label": "PSL"}
+    cli._emit([row], SimpleNamespace(json=False, precision=15))
+    assert capsys.readouterr().out == (
+        "undefined=undefined  flag=True  exact=100000000000000000000  real=100000  "
+        "ratio=7/1  orders=1,2,4  label=PSL\n")
+    cli._emit([row], SimpleNamespace(json=True, precision=15))
+    assert capsys.readouterr().out == (
+        '{"exact": "100000000000000000000", "flag": true, "label": "PSL", '
+        '"orders": ["1", "2", "4"], "ratio": "7/1", "real": 100000.0, "undefined": null}\n')
+
+
+def readme_cli_examples():
+    """(argv, documented output) for each README CLI line that ends in a
+    comment; an output ending in " ..." documents a prefix."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    return [(shlex.split(command)[1:], value.strip())
+            for command, _, value in (line.partition(" # ") for line in block.splitlines())
+            if command.startswith("ordspectra ") and value]
+
+
+def test_readme_cli_examples(capsys):
+    examples = readme_cli_examples()
+    assert len(examples) == 4
+    for argv, documented in examples:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if documented.endswith(" ..."):
+            assert out.startswith(documented[:-4]), (argv, out)
+        else:
+            assert out.strip() == documented, (argv, out)
 
 
 def test_cli_matches_library(capsys, store):

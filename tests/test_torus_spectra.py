@@ -40,6 +40,32 @@ def test_go_examples():
         assert ts.semisimple_orders_go(1, q).values == (1,)
 
 
+def reference_ambient_orders(family, d, q):
+    """The ambient order set one torus at a time: the divisors of
+    lcm(q**a + s) over every torus of the family at rank d."""
+    size, signs, parity = ts._block_model(family, d)
+    out = set()
+    for torus, _ in ts._tori(size, q, signs, parity):
+        out.update(ts._fact_divisors(ts._support_lcm(q, torus)))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "D", "2D"])
+def test_ambient_orders_match_per_torus_reference(family):
+    """GL/GU/GO read only the tori the merge lemma keeps, and give the
+    order set of every torus."""
+    ambient = {
+        "A": lambda d, q: ts.semisimple_orders_gl(d + 1, q),
+        "2A": lambda d, q: ts.semisimple_orders_gu(d + 1, q),
+        "B": lambda d, q: ts.semisimple_orders_go(2 * d + 1, q),
+        "D": lambda d, q: ts.semisimple_orders_go(2 * d, q, +1),
+        "2D": lambda d, q: ts.semisimple_orders_go(2 * d, q, -1),
+    }[family]
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for d in range(1 if family in ("D", "2D") else 0, 16):
+            assert ambient(d, q).values == reference_ambient_orders(family, d, q), (family, d, q)
+
+
 def model_tori(family, d):
     size, signs, parity = ts._block_model(family, d)
     return (torus for torus, _ in ts._tori(size, 2, signs, parity))
@@ -302,10 +328,15 @@ def test_suzuki_spectrum():
     assert ts.suzuki_spectrum(8).values == (1, 2, 4, 5, 7, 13)
     spec = lc.make_spec("2B2", Q=8)
     assert ts.exceptional_semisimple(spec).values == (1, 5, 7, 13)
+    assert ts.suzuki_spectrum(32).values == (1, 2, 4, 5, 25, 31, 41)
     spec32 = lc.make_spec("2B2", Q=32)
-    values = ts.suzuki_spectrum(32).values
-    assert divisor_closed(values)
-    assert all(v % 2 == 1 for v in ts.exceptional_semisimple(spec32).values)
+    assert ts.exceptional_semisimple(spec32).values == (1, 5, 25, 31, 41)
+    for k in range(1, 7):
+        Q = 2 ** (2 * k + 1)
+        r = 2 ** (k + 1)
+        want = {v for m in (4, Q - 1, Q + r + 1, Q - r + 1)
+                for v in range(1, m + 1) if m % v == 0}
+        assert ts.suzuki_spectrum(Q).values == tuple(sorted(want)), Q
 
 
 def test_e8_spectrum_not_available():
