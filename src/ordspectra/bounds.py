@@ -47,12 +47,13 @@ from .torus_spectra import (
 @dataclass(frozen=True)
 class FamilyLevels:
     """A classical family's accepted levels of the Aut-orbit (omega) and
-    element-order-count (omicron) bounds, and the frozen message refusing
-    any other.  epsilon_q takes any (omega, omicron) pair.
+    element-order-count (omicron) bounds, and the frozen messages refusing
+    any other omicron level or epsilon_q pair.  epsilon_q takes any
+    (omega, omicron) pair.  An omega level outside the row is refused by
+    ``class_number_lower_bound``.
     """
 
     omega: tuple[int, ...]
-    omega_message: str
     omicron: tuple[int, ...]
     omicron_message: str
     epsilon_q_message: str
@@ -64,14 +65,11 @@ class FamilyLevels:
 
 #: The level table of the classical families, one row per shape.
 LEVELS = {family: row for families, row in (
-    (("A", "2A"), FamilyLevels((2,), messages.LEVEL_ONLY_2,
-                               (1, 2, 3), messages.LEVEL_1_2_OR_3,
+    (("A", "2A"), FamilyLevels((2,), (1, 2, 3), messages.LEVEL_1_2_OR_3,
                                messages.COMBO_A)),
-    (("B", "C"), FamilyLevels((1, 2), messages.LEVEL_1_OR_2,
-                              (1, 2), messages.LEVEL_1_OR_2,
+    (("B", "C"), FamilyLevels((1, 2), (1, 2), messages.LEVEL_1_OR_2,
                               messages.COMBO_BC)),
-    (("D", "2D"), FamilyLevels((1, 2), messages.LEVEL_1_OR_2,
-                               (1, 2, 3), messages.LEVEL_1_2_OR_3,
+    (("D", "2D"), FamilyLevels((1, 2), (1, 2, 3), messages.LEVEL_1_2_OR_3,
                                messages.COMBO_D)),
 ) for family in families}
 

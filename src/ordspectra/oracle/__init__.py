@@ -2,8 +2,8 @@
 
 Everything here is an explicit permutation-group computation: element
 enumeration, element orders, conjugacy classes, Aut-orbit counts, and
-the partition-lcm oracle for symmetric groups.  These are the reference
-values that gate the formula-based modules.
+the lcm-knapsack spectrum oracle for symmetric groups.  These are the
+reference values that gate the formula-based modules.
 """
 
 from __future__ import annotations
@@ -156,20 +156,45 @@ def nr_aut_orbits(G: SmallGroup, small_cap: int = 10_000) -> int:
 
 
 def sym_spectrum_oracle(n: int) -> OrderSet:
-    """Distinct lcm values over partitions of n (= element orders of
-    Sym(n)); parts equal to 1 never change the lcm, so only parts >= 2
-    are enumerated."""
+    """Element orders of Sym(n), by a least-sum lcm knapsack.
+
+    An element of Sym(n) has order L exactly when some set of distinct
+    parts >= 2 with lcm L sums to at most n: repeated cycle lengths never
+    change the lcm, and fixed points fill the remainder.  The knapsack
+    takes the parts k = 2..n once each, in increasing order, and keeps
+    ``least[L]``, the least sum of a set of parts already taken whose lcm
+    is L.  Keeping only the least sum loses nothing: the parts still to
+    come are larger than every part taken so far, so any of them that
+    join another set with lcm L can join the set of least sum instead,
+    with the same lcm and a sum no larger.  Step k reads the entries
+    (L, s) with s <= n - k as they stood before the step and lowers
+    ``least[lcm(L, k)]`` to s + k; an entry with k | L is skipped, as k
+    leaves it unchanged.  The orders are the keys.
+
+    Entries sit in one bucket per sum, so step k reads only the buckets
+    0..n - k.  A lowered entry joins its new bucket after the step, and
+    its stale copy is skipped where ``least`` disagrees; an entry lowered
+    during step k is a multiple of k, so skipping it there changes nothing.
+
+    Nothing here uses prime powers, so this is independent of the r_p
+    formula of ``sym_partitions``.
+    """
     if n < 1 or n > 200:
         raise DomainError("n out of the supported oracle range")
-    out: set[int] = set()
-
-    def rec(remaining: int, max_part: int, acc: int) -> None:
-        out.add(acc)
-        for part in range(min(remaining, max_part), 1, -1):
-            rec(remaining - part, part, acc * part // math.gcd(acc, part))
-
-    rec(n, n, 1)
-    return OrderSet.from_iterable(out)
+    least = {1: 0}
+    by_sum: list[list[int]] = [[1]] + [[] for _ in range(n)]
+    for k in range(2, n + 1):
+        lowered: set[int] = set()
+        for s in range(n - k + 1):
+            for L in by_sum[s]:
+                if L % k and least[L] == s:
+                    M = math.lcm(L, k)
+                    if least.get(M, n + 1) > s + k:
+                        least[M] = s + k
+                        lowered.add(M)
+        for M in lowered:
+            by_sum[least[M]].append(M)
+    return OrderSet.from_iterable(least)
 
 
 __all__ = [

@@ -43,11 +43,11 @@ CATALOG_GRID = [
 
 def test_criterion_1_sym_oracle_equality():
     start = time.time()
-    for n in range(1, 61):
+    for n in range(1, 101):
         assert len(oracle.sym_spectrum_oracle(n)) == sp.nr_element_orders_sym(n), n
     elapsed = time.time() - start
     assert elapsed < 30
-    print(f"PASS criterion 1: sym oracle equality n<=60 ({elapsed:.1f}s)")
+    print(f"PASS criterion 1: sym oracle equality n<=100 ({elapsed:.1f}s)")
 
 
 def enumerate_coprime_prime_power_partitions(n):

@@ -1,7 +1,9 @@
+import math
+
 import pytest
 
 from ordspectra import oracle, sym_partitions
-from ordspectra.errors import CapExceeded
+from ordspectra.errors import CapExceeded, DomainError
 from ordspectra.oracle.autos import duality_automorphism
 from ordspectra.oracle.groups import close_under_products, matrices_to_perms, perm_compose
 
@@ -229,12 +231,51 @@ def test_semisimple_orders(get_group):
     assert oracle.semisimple_orders(psp43, 3).values == (1, 2, 4, 5)
 
 
+def partition_lcms(n):
+    """Distinct lcm values over the partitions of n into parts >= 2, by
+    walking every partition: the reference for the knapsack."""
+    out = set()
+
+    def rec(remaining, max_part, acc):
+        out.add(acc)
+        for part in range(min(remaining, max_part), 1, -1):
+            rec(remaining - part, part, math.lcm(acc, part))
+
+    rec(n, n, 1)
+    return out
+
+
 def test_sym_spectrum_oracle():
     assert oracle.sym_spectrum_oracle(1).values == (1,)
     assert oracle.sym_spectrum_oracle(4).values == (1, 2, 3, 4)
     assert len(oracle.sym_spectrum_oracle(7)) == 9
-    for n in range(1, 26):
-        assert len(oracle.sym_spectrum_oracle(n)) == sym_partitions.nr_element_orders_sym(n)
+    for n in range(1, 46):
+        assert oracle.sym_spectrum_oracle(n).values == tuple(sorted(partition_lcms(n))), n
+
+
+@pytest.mark.parametrize("n", [100, 150])
+def test_sym_spectrum_oracle_sound(n):
+    # every value is an order of Sym(n): its prime-power parts fit in n
+    # points; with the count this makes the set the whole spectrum
+    primes = [p for p in range(2, n + 1) if all(p % r for r in range(2, p))]
+    spectrum = oracle.sym_spectrum_oracle(n)
+    for L in spectrum.values:
+        points = 0
+        for p in primes:
+            if L % p == 0:
+                part = p
+                while L % (part * p) == 0:
+                    part *= p
+                points += part
+                L //= part
+        assert L == 1 and points <= n
+    assert len(spectrum) == sym_partitions.nr_element_orders_sym(n)
+
+
+@pytest.mark.parametrize("n", [0, 201])
+def test_sym_spectrum_oracle_range(n):
+    with pytest.raises(DomainError):
+        oracle.sym_spectrum_oracle(n)
 
 
 def test_expected_orders():
