@@ -31,7 +31,7 @@ from .build import (
     unitary_diagonal,
 )
 from .ffield import get_field
-from .groups import SmallGroup, close_under_products
+from .groups import SmallGroup, close_under_products, identity
 
 AUT_CAP = 100_000
 
@@ -58,9 +58,8 @@ def semisimple_orders(G: SmallGroup, p: int) -> OrderSet:
 
 
 def build_symmetric(n: int) -> SmallGroup:
-    gens = [tuple([1, 0] + list(range(2, n))), tuple(list(range(1, n)) + [0])]
-    if n == 1:
-        gens = [tuple(range(1))]
+    one = identity(n)
+    gens = [one[1::-1] + one[2:], one[1:] + one[:1]] if n > 1 else [one]
     _, elements = close_under_products(gens, n)
     g = SmallGroup(degree=n, gens=gens, elements=elements)
     g.meta = {"kind": "Sym", "n": n}
@@ -68,14 +67,11 @@ def build_symmetric(n: int) -> SmallGroup:
 
 
 def build_alternating(n: int) -> SmallGroup:
+    one = identity(max(n, 1))
     if n < 3:
-        gens = [tuple(range(n))]
+        gens = [one]
     else:
-        gens = []
-        for i in range(n - 2):
-            img = list(range(n))
-            img[i], img[i + 1], img[i + 2] = img[i + 1], img[i + 2], img[i]
-            gens.append(tuple(img))
+        gens = [one[:i] + bytes((i + 1, i + 2, i)) + one[i + 3:] for i in range(n - 2)]
     _, elements = close_under_products(gens, max(n, 1))
     g = SmallGroup(degree=max(n, 1), gens=gens, elements=elements)
     g.meta = {"kind": "Alt", "n": n}
@@ -83,7 +79,8 @@ def build_alternating(n: int) -> SmallGroup:
 
 
 def build_cyclic(n: int) -> SmallGroup:
-    gens = [tuple(list(range(1, n)) + [0])]
+    one = identity(n)
+    gens = [one[1:] + one[:1]]
     _, elements = close_under_products(gens, n)
     g = SmallGroup(degree=n, gens=gens, elements=elements)
     g.meta = {"kind": "Cyclic", "n": n}
@@ -125,9 +122,8 @@ def outer_maps_for(G: SmallGroup) -> list | None:
             return None  # the exceptional automorphism is not realized here
         if G.degree < 2:
             return []  # one point (Alt(1)): nothing to swap
-        img = list(range(G.degree))
-        img[0], img[1] = img[1], img[0]
-        return [conjugation_map(tuple(img))]
+        one = identity(G.degree)
+        return [conjugation_map(one[1::-1] + one[2:])]
     return None
 
 

@@ -25,20 +25,21 @@ from .groups import (
     SmallGroup,
     bilinear,
     close_under_products,
+    identity,
     mat_identity,
     matrices_to_perms,
     perm_compose,
-    perm_getter,
     perm_inverse,
     perm_order,
+    perm_table,
 )
 
 AutoMap = Callable[[Perm], Perm]
 
 
 def conjugation_map(pi: Perm) -> AutoMap:
-    pi_inv_then = perm_getter(perm_inverse(pi))
-    return lambda g: pi_inv_then(perm_compose(g, pi))
+    pi_inv, pi_table = perm_inverse(pi), perm_table(pi)
+    return lambda g: pi_inv.translate(perm_table(g)).translate(pi_table)
 
 
 def field_automorphism(G: SmallGroup) -> AutoMap:
@@ -48,7 +49,7 @@ def field_automorphism(G: SmallGroup) -> AutoMap:
     F: Fq = G.meta["field"]
     points = G.meta["points"]
     index = {pt: i for i, pt in enumerate(points)}
-    return conjugation_map(tuple(index[tuple(F.frob[x] for x in pt)] for pt in points))
+    return conjugation_map(bytes(index[tuple(F.frob[x] for x in pt)] for pt in points))
 
 
 def matrix_conjugation(G: SmallGroup, mat: Matrix) -> AutoMap:
@@ -68,10 +69,15 @@ def duality_automorphism(G: SmallGroup) -> AutoMap:
     n = G.meta["n"]
     points = G.meta["points"]
     dot = mat_identity(n)
-    hyperplanes = [frozenset(i for i, x in enumerate(points) if not bilinear(F, n, dot, w, x))
+    hyperplanes = [bytes(i for i, x in enumerate(points) if not bilinear(F, n, dot, w, x))
                    for w in points]
-    point_of = {h: i for i, h in enumerate(hyperplanes)}
-    return lambda perm: tuple(point_of[frozenset(perm[i] for i in h)] for h in hyperplanes)
+    point_of = {frozenset(h): i for i, h in enumerate(hyperplanes)}
+
+    def image(perm: Perm) -> Perm:
+        table = perm_table(perm)
+        return bytes(point_of[frozenset(h.translate(table))] for h in hyperplanes)
+
+    return image
 
 
 def nr_aut_orbits_from_maps(G: SmallGroup, outer_maps: list[AutoMap]) -> int:
@@ -118,7 +124,7 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
     if G.order > max_order:
         raise AutGenerationFailed(f"group too large ({G.order}) for generic search")
     own = {e: e for e in G.elements}
-    identity = own[tuple(range(G.degree))]
+    one = own[identity(G.degree)]
     gens = close_under_products(sorted(G.elements), G.degree)[0]
     class_of, reps = G.conjugacy_classes()
     class_size = [0] * len(reps)
@@ -131,34 +137,36 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
         # order, class size, and the class sizes of the power map images:
         # all Aut-invariant, and cheap enough for tiny groups
         order = order_of[e]
-        e_then = perm_getter(e)
+        table = perm_table(e)
         powers = []
         x = e
         for j in range(2, order):
-            x = e_then(x)
+            x = x.translate(table)
             if order % j == 0:
                 powers.append((j, class_size[class_of[x]]))
         return (order, class_size[class_of[e]], tuple(powers))
 
     signature_of = {e: signature(e) for e in G.elements}
+    # each candidate image with its table, built once per search
     candidates = [
-        [e for e in G.elements if signature_of[e] == signature_of[g]] for g in gens
+        [(e, perm_table(e)) for e in G.elements if signature_of[e] == signature_of[g]]
+        for g in gens
     ]
     # orders of g_j * g_pos for j < pos, which each choice must reproduce
     pair_orders = [[order_of[perm_compose(prev, g)] for prev in gens[:pos]]
                    for pos, g in enumerate(gens)]
     # the Cayley graph in breadth-first order: each x with, per generator,
     # y = x*g_i and whether this edge is the first one into y
+    gen_tables = [perm_table(g) for g in gens]
     steps = []
-    seen = {identity}
-    frontier = [identity]
+    seen = {one}
+    frontier = [one]
     while frontier:
         new_frontier = []
         for x in frontier:
-            x_then = perm_getter(x)
             targets = []
-            for g in gens:
-                y = own[x_then(g)]
+            for table in gen_tables:
+                y = own[x.translate(table)]
                 first = y not in seen
                 targets.append((y, first))
                 if first:
@@ -168,12 +176,13 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
         frontier = new_frontier
     autos = []
 
-    def extend(images: list[Perm]):
-        phi = {identity: identity}
+    def extend(tables: list[bytes]):
+        """phi from the tables of the chosen images, or None."""
+        phi = {one: one}
         for x, targets in steps:
-            px_then = perm_getter(phi[x])
-            for image, (y, first) in zip(images, targets):
-                py = own[px_then(image)]
+            px = phi[x]
+            for table, (y, first) in zip(tables, targets):
+                py = own[px.translate(table)]
                 if first:
                     phi[y] = py
                 elif phi[y] != py:
@@ -182,18 +191,18 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
             return None
         return phi
 
-    def backtrack(pos: int, chosen: list[Perm], chosen_then: list):
+    def backtrack(pos: int, chosen: list[Perm], tables: list[bytes]):
         if pos == len(gens):
-            phi = extend(chosen)
+            phi = extend(tables)
             if phi is not None:
                 autos.append(phi)
             return
         need = pair_orders[pos]
-        for cand in candidates[pos]:
+        for cand, table in candidates[pos]:
             # cheap pairwise invariant: orders of products must match
-            if all(order_of[prev_then(cand)] == order
-                   for prev_then, order in zip(chosen_then, need)):
-                backtrack(pos + 1, chosen + [cand], chosen_then + [perm_getter(cand)])
+            if all(order_of[prev.translate(table)] == order
+                   for prev, order in zip(chosen, need)):
+                backtrack(pos + 1, chosen + [cand], tables + [table])
 
     backtrack(0, [], [])
     return autos

@@ -21,6 +21,7 @@ from .groups import (
     bilinear,
     close_under_products,
     hermitian_value,
+    identity,
     mat_identity,
     matrices_to_perms,
     perm_compose,
@@ -345,7 +346,7 @@ def _kernel(gens: list, labels: list[int], degree: int, limit: int):
     the value labels[i] (bits under xor) on gens[i], by Schreier's lemma:
     a transversal t_c over the reachable values c, and the generators
     t_c * g * t_(c xor label g)^-1."""
-    transversal = {0: tuple(range(degree))}
+    transversal = {0: identity(degree)}
     reached = [0]
     for c in reached:  # grows while it is walked
         for g, label in zip(gens, labels):

@@ -4,15 +4,18 @@ Groups are realized as permutation groups: a matrix group acts
 faithfully on the nonzero vectors of its natural module, and projective
 quotients act on normalized projective points (first nonzero coordinate
 scaled to 1).  Closures adjoin the generators one at a time by
-breadth-first products, so everything is deterministic.
+breadth-first products, so the elements and the generators kept are
+deterministic.  Class representatives follow set order, which moves with
+the hash seed of ``bytes``; no result depends on which one is picked.
 
-A permutation is the tuple of images of 0..degree-1, and products read
-left to right: ``perm_compose(a, b)`` applies a first, then b, so its
-entry i is b[a[i]].  That is ``operator.itemgetter(*a)(b)``; the getter
-of a is built once by ``perm_getter`` and reused across every b in the
-hot loops.  At degree 1 (trivial groups such as PSL(1, q) or Sym(1))
-``itemgetter`` with one index returns a scalar, not a tuple, so
-``perm_getter`` builds a tuple there itself.
+A permutation is the ``bytes`` of images of 0..degree-1, and products
+read left to right: ``perm_compose(a, b)`` applies a first, then b, so
+its entry i is b[a[i]].  That is ``a.translate(perm_table(b))``, where
+``perm_table(b)`` fills b out to a 256-byte translation table with fixed
+points; the hot loops build each table once and reuse it across every
+``translate``.  One byte per point caps the degree at 256: a larger
+construction raises ``CapacityError`` before any closure work
+(``check_degree``).
 
 Fixed forms (documented so constructions are reproducible bit for bit):
 
@@ -29,14 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable
 
-from ..errors import CapExceeded, DomainError
+from ..errors import CapacityError, CapExceeded, DomainError
 from ..torus_spectra import OrderSet
 from .ffield import Fq
 
-Perm = tuple[int, ...]
+Perm = bytes
 Matrix = tuple[int, ...]  # row-major, n*n field codes
 
 
@@ -44,23 +45,38 @@ Matrix = tuple[int, ...]  # row-major, n*n field codes
 # permutations
 
 
-def perm_getter(a: Perm) -> Callable[[Perm], Perm]:
-    """The map b -> perm_compose(a, b)."""
-    if len(a) < 2:
-        return lambda b: tuple(b[x] for x in a)
-    return itemgetter(*a)
+MAX_DEGREE = 256
+PAD = bytes(range(MAX_DEGREE))
+
+
+def check_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise CapacityError(
+            f"permutation degree {degree} exceeds the {MAX_DEGREE}-point limit",
+            needed=degree,
+        )
+
+
+def identity(degree: int) -> Perm:
+    check_degree(degree)
+    return PAD[:degree]
+
+
+def perm_table(b: Perm) -> bytes:
+    """The translation table of b: x -> x.translate(table) is x then b."""
+    return b + PAD[len(b):]
 
 
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """Apply a first, then b."""
-    return perm_getter(a)(b)
+    return a.translate(perm_table(b))
 
 
 def perm_inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
+    out = bytearray(len(a))
     for i, x in enumerate(a):
         out[x] = i
-    return tuple(out)
+    return bytes(out)
 
 
 def perm_order(a: Perm) -> int:
@@ -225,6 +241,8 @@ class SmallGroup:
     gens: list[Perm]
     elements: set[Perm]
     meta: dict = field(default_factory=dict)
+    _classes: tuple[dict[Perm, int], list[Perm]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -241,10 +259,11 @@ class SmallGroup:
 
     def conjugacy_classes(self) -> tuple[dict[Perm, int], list[Perm]]:
         """(element -> class index, class representatives)."""
-        if getattr(self, "_classes", None) is not None:
+        if self._classes is not None:
             return self._classes
-        # g^-1 x g = perm_compose(g^-1, perm_compose(x, g))
-        conjugators = [(perm_getter(perm_inverse(g)), g) for g in self.gens]
+        # g^-1 x g = perm_compose(perm_compose(g^-1, x), g)
+        conjugators = [(perm_inverse(g), perm_table(g)) for g in self.gens]
+        pad = PAD[self.degree:]
         class_of: dict[Perm, int] = {}
         reps: list[Perm] = []
         for e in self.elements:
@@ -255,9 +274,9 @@ class SmallGroup:
             frontier = [e]
             class_of[e] = cid
             while frontier:
-                x_then = perm_getter(frontier.pop())
-                for ginv_then, g in conjugators:
-                    y = ginv_then(x_then(g))
+                x_table = frontier.pop() + pad
+                for ginv, g_table in conjugators:
+                    y = ginv.translate(x_table).translate(g_table)
                     if y not in class_of:
                         class_of[y] = cid
                         frontier.append(y)
@@ -280,31 +299,33 @@ def close_under_products(gens, degree: int, limit: int | None = None):
     since they are already closed under the earlier generators; each new
     element is multiplied by every generator used.
     """
-    elements = {tuple(range(degree))}
+    elements = {identity(degree)}
     used: list[Perm] = []
+    tables: list[bytes] = []
     for g in gens:
         if g in elements:
             continue
         used.append(g)
+        tables.append(perm_table(g))
         frontier = list(elements)
-        step = [g]
+        step = tables[-1:]
         while frontier:
             new_frontier = []
             for cur in frontier:
-                cur_then = perm_getter(cur)
-                for h in step:
-                    nxt = cur_then(h)
+                for table in step:
+                    nxt = cur.translate(table)
                     if nxt not in elements:
                         elements.add(nxt)
                         if limit is not None and len(elements) > limit:
                             raise CapExceeded(len(elements), limit)
                         new_frontier.append(nxt)
             frontier = new_frontier
-            step = used
+            step = tables
     return used, elements
 
 
 def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: bool):
+    check_degree(len(points))
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for m in mats:
@@ -314,6 +335,6 @@ def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: boo
             if projective:
                 w = normalize(F, w)
             images.append(index[w])
-        perms.append(tuple(images))
+        perms.append(bytes(images))
     return perms
 

@@ -105,8 +105,8 @@ def test_spinor_kernel_is_derived_subgroup(get_group, kind, n):
 
 
 def test_closure_skips_redundant_generators():
-    swap, cycle = (1, 0, 2, 3), (1, 2, 3, 0)
-    identity = (0, 1, 2, 3)
+    swap, cycle = bytes((1, 0, 2, 3)), bytes((1, 2, 3, 0))
+    identity = bytes((0, 1, 2, 3))
     gens = [identity, swap, swap, cycle, perm_compose(swap, cycle), cycle]
     used, elements = close_under_products(iter(gens), 4)
     assert used == [swap, cycle]

@@ -1,32 +1,130 @@
-"""The oracle's permutation kernel: itemgetter composition and per-class orders."""
+"""The oracle's permutation kernel: bytes.translate composition, the
+256-point limit, and per-class orders."""
+
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordspectra import cli, oracle
+from ordspectra.errors import CapacityError
 from ordspectra.oracle import groups
 from ordspectra.oracle.autos import conjugation_map
-from ordspectra.oracle.groups import perm_compose, perm_getter, perm_inverse, perm_order
+from ordspectra.oracle.groups import (close_under_products, perm_compose, perm_inverse,
+                                      perm_order, perm_table)
 from ordspectra.torus_spectra import OrderSet
 
 
 def _perm_triples():
-    perm = lambda n: st.permutations(range(n)).map(tuple)  # noqa: E731
-    return st.integers(1, 120).flatmap(lambda n: st.tuples(perm(n), perm(n), perm(n)))
+    perm = lambda n: st.permutations(range(n)).map(bytes)  # noqa: E731
+    return st.integers(1, 256).flatmap(lambda n: st.tuples(perm(n), perm(n), perm(n)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_perm_triples())
 def test_compose_and_conjugation_match_reference(triple):
     a, b, g = triple
-    reference = tuple(b[x] for x in a)
+    reference = bytes(b[x] for x in a)
     assert perm_compose(a, b) == reference
-    assert perm_getter(a)(b) == reference
+    assert a.translate(perm_table(b)) == reference
     conj = perm_compose(perm_compose(perm_inverse(g), a), g)
     assert conjugation_map(g)(a) == conj
     # the form the conjugacy-class walk uses
-    assert perm_getter(perm_inverse(g))(perm_getter(a)(g)) == conj
+    assert perm_inverse(g).translate(perm_table(a)).translate(perm_table(g)) == conj
+
+
+def test_degree_limit_is_256_points():
+    assert oracle.build_cyclic(256).order == 256
+    with pytest.raises(CapacityError, match="degree 257 exceeds the 256-point limit"):
+        oracle.build_cyclic(257)
+    with pytest.raises(CapacityError, match="degree 342 exceeds the 256-point limit"):
+        oracle.build_classical("GO", 3, 7)  # 7**3 - 1 nonzero vectors
+
+
+# -- the tuple/itemgetter kernel the oracle used before, kept as the reference
+
+
+def _getter(a):
+    if len(a) < 2:  # itemgetter with one index returns a scalar
+        return lambda b: tuple(b[x] for x in a)
+    return itemgetter(*a)
+
+
+def _inverse(a):
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        out[x] = i
+    return tuple(out)
+
+
+def reference_closure(gens, degree):
+    elements = {tuple(range(degree))}
+    used = []
+    for g in gens:
+        if g in elements:
+            continue
+        used.append(g)
+        frontier = list(elements)
+        step = [g]
+        while frontier:
+            new_frontier = []
+            for cur in frontier:
+                cur_then = _getter(cur)
+                for h in step:
+                    nxt = cur_then(h)
+                    if nxt not in elements:
+                        elements.add(nxt)
+                        new_frontier.append(nxt)
+            frontier = new_frontier
+            step = used
+    return used, elements
+
+
+def reference_classes(elements, gens):
+    conjugators = [(_getter(_inverse(g)), g) for g in gens]
+    class_of, reps = {}, []
+    for e in elements:
+        if e in class_of:
+            continue
+        cid = len(reps)
+        reps.append(e)
+        frontier = [e]
+        class_of[e] = cid
+        while frontier:
+            x_then = _getter(frontier.pop())
+            for ginv_then, g in conjugators:
+                y = ginv_then(x_then(g))
+                if y not in class_of:
+                    class_of[y] = cid
+                    frontier.append(y)
+    return class_of, reps
+
+
+def _partition(class_of, reps):
+    """Each class as a frozenset of tuples, with the order of its representative."""
+    members = [set() for _ in reps]
+    for e, cid in class_of.items():
+        members[cid].add(tuple(e))
+    return {frozenset(m): perm_order(rep) for m, rep in zip(members, reps)}
+
+
+@pytest.mark.parametrize("kind, n, q", [
+    ("PSL", 3, 2), ("PSU", 3, 3), ("PSp", 4, 3), ("GU", 3, 2), ("Alt", 5, None),
+    ("Sym", 5, None), ("PSL", 1, 5), ("Cyclic", 1, None), ("Sym", 1, None),
+    ("Alt", 1, None), ("Alt", 2, None),
+])
+def test_kernel_matches_tuple_reference(get_group, kind, n, q):
+    builders = {"Alt": oracle.build_alternating, "Sym": oracle.build_symmetric,
+                "Cyclic": oracle.build_cyclic}
+    group = builders[kind](n) if kind in builders else get_group(kind, n, q)
+    tuple_gens = [tuple(g) for g in group.gens]
+    used, elements = reference_closure(tuple_gens, group.degree)
+    kept, closed = close_under_products(group.gens, group.degree)
+    assert [tuple(g) for g in kept] == used
+    assert {tuple(e) for e in closed} == {tuple(e) for e in group.elements} == elements
+    reference = _partition(*reference_classes(elements, tuple_gens))
+    assert _partition(*group.conjugacy_classes()) == reference
 
 
 @pytest.mark.parametrize("build", [
@@ -40,7 +138,7 @@ def test_trivial_groups_have_one_class(build):
     group = build()
     class_of, reps = group.conjugacy_classes()
     assert group.order == 1 and len(reps) == 1
-    # a scalar image would add a non-tuple key without adding a class
+    # every element is classed, and nothing else is
     assert set(class_of) == group.elements
     assert group.element_orders().values == (1,)
     assert oracle.nr_aut_orbits(group) == 1
