@@ -13,9 +13,9 @@ import math
 from ..errors import AutGenerationFailed, DomainError
 from ..torus_spectra import OrderSet
 from .autos import (
+    automorphisms_up_to_inner,
     conjugation_map,
     duality_automorphism,
-    enumerate_automorphisms,
     field_automorphism,
     generic_aut_order,
     generic_nr_aut_orbits,
@@ -98,6 +98,8 @@ def outer_maps_for(G: SmallGroup) -> list | None:
     if kind in ("PSL", "PSU", "PSp", "POmegaplus", "POmegaminus"):
         F = G.meta["field"]
         n = G.meta["n"]
+        if kind == "PSp" and n == 4 and F.p == 2:
+            return None  # the graph automorphism of B2(2^f) is not realized here
         # F.e > 1 for every PSU: its matrices are over F(q0**2)
         maps = [field_automorphism(G)] if F.e > 1 else []
         if kind == "PSL" and math.gcd(n, F.q - 1) > 1:
@@ -127,24 +129,19 @@ def outer_maps_for(G: SmallGroup) -> list | None:
     return None
 
 
-def nr_aut_orbits(G: SmallGroup, small_cap: int = 10_000) -> int:
+def nr_aut_orbits(G: SmallGroup) -> int:
     """Number of orbits of Aut(G) on G.
 
     Uses curated outer generators for the named constructions and the
-    generic backtrack for tiny arbitrary groups; raises when neither is
-    applicable rather than approximating.
+    generic search otherwise, which raises above its order cap rather
+    than approximating.
     """
     if G.order > AUT_CAP:
         raise AutGenerationFailed(f"order {G.order} exceeds the Aut cap {AUT_CAP}")
     maps = outer_maps_for(G)
     if maps is not None:
         return nr_aut_orbits_from_maps(G, maps)
-    if G.order <= small_cap:
-        return generic_nr_aut_orbits(G, small_cap)
-    raise AutGenerationFailed(
-        f"no curated outer maps for {G.meta.get('kind')} and order "
-        f"{G.order} is too large for the generic search"
-    )
+    return generic_nr_aut_orbits(G)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +194,13 @@ __all__ = [
     "AUT_CAP",
     "DEFAULT_CAP",
     "SmallGroup",
+    "automorphisms_up_to_inner",
     "build_alternating",
     "build_classical",
     "build_cyclic",
     "build_symmetric",
     "conjugacy_class_count",
     "element_orders",
-    "enumerate_automorphisms",
     "expected_order",
     "generic_aut_order",
     "generic_nr_aut_orbits",

@@ -6,15 +6,16 @@ are explicit: field automorphisms act entrywise on matrix coordinates
 (hence permute the underlying points), diagonal automorphisms are
 conjugations by elements of the ambient isometry/similitude group, and
 the duality automorphism of PSL_n (inverse-transpose) is read off how
-each point permutation moves the hyperplanes.  For tiny arbitrary
-groups a generic backtrack over generator images enumerates the full
-automorphism group: each complete choice of images is extended in one
-breadth-first pass over the Cayley graph, which checks every edge as it
-goes.  Failures raise; nothing is approximated silently.
+each point permutation moves the hyperplanes.  For other tiny groups a
+generic backtrack over generator images lists Aut up to inner
+automorphisms (the maps sending the first generator to a class
+representative), which gives both the orbit count and |Aut|.  Failures
+raise; nothing is approximated silently.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
 from ..errors import AutGenerationFailed
@@ -106,54 +107,50 @@ def nr_aut_orbits_from_maps(G: SmallGroup, outer_maps: list[AutoMap]) -> int:
 # ---------------------------------------------------------------------------
 # generic automorphism search for tiny groups
 
+GENERIC_CAP = 10_000  # the largest group order the generic search takes
 
-def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
-    """All automorphisms of a tiny group, as element->element dicts.
+
+def automorphisms_up_to_inner(G: SmallGroup) -> list[dict[Perm, Perm]]:
+    """The automorphisms that send g1, the least non-identity element, to
+    a class representative, as element->element dicts.
+
+    If r = c^-1 psi(g1) c represents the class of psi(g1), then the map
+    x -> c^-1 psi(x) c is listed, so Aut is Inn(G) times the listed maps.
+    Inner maps fix every class, so fusing classes under the listed maps
+    gives the Aut-orbits.  Conjugation by c maps the automorphisms with
+    g1 -> r one to one onto those with g1 -> c^-1 r c, so as many send g1
+    to each element of a class C as to its representative: |Aut| is the
+    sum over listed phi of |class of phi(g1)|.  Representatives follow
+    the hash seed, so the list moves from run to run but neither count
+    does: conjugate representatives have fibres of equal size.
 
     Backtracks over images of a generating sequence (the sorted elements
-    not in the group generated by the ones before them), pruning by
-    Aut-invariant signatures and by the orders of pairwise products.
-    Each complete choice of images is extended in one breadth-first pass
-    along x -> x*g_i: the first edge into y sets phi(y) = phi(x)*image_i,
-    every later edge checks that equation, and the candidate is dropped
-    at the first mismatch.  The edges themselves are walked once per
-    search; only phi(x)*image_i depends on the candidate.  A map that
-    passes every edge is a homomorphism; it is kept when it is also a
-    bijection.  Keys and values are the group's own element objects.
+    not in the group generated by the ones before them, g1 first),
+    pruning by element order, class size and the orders of pairwise
+    products.  Each complete choice of images is extended in one
+    breadth-first pass along x -> x*g_i: the first edge into y sets
+    phi(y) = phi(x)*image_i, every later edge checks it, and the
+    candidate is dropped at the first mismatch.  The edges are walked
+    once per search.  A map that passes every edge is a homomorphism; it
+    is kept when it is also a bijection.
     """
-    if G.order > max_order:
-        raise AutGenerationFailed(f"group too large ({G.order}) for generic search")
-    own = {e: e for e in G.elements}
-    one = own[identity(G.degree)]
+    if G.order > GENERIC_CAP:
+        raise AutGenerationFailed(
+            f"order {G.order} exceeds the generic-search cap {GENERIC_CAP}")
+    one = identity(G.degree)
     gens = close_under_products(sorted(G.elements), G.degree)[0]
     class_of, reps = G.conjugacy_classes()
-    class_size = [0] * len(reps)
-    for e in G.elements:
-        class_size[class_of[e]] += 1
+    class_size = Counter(class_of.values())
     class_order = [perm_order(rep) for rep in reps]
-    order_of = {e: class_order[class_of[e]] for e in G.elements}
-
-    def signature(e: Perm):
-        # order, class size, and the class sizes of the power map images:
-        # all Aut-invariant, and cheap enough for tiny groups
-        order = order_of[e]
-        table = perm_table(e)
-        powers = []
-        x = e
-        for j in range(2, order):
-            x = x.translate(table)
-            if order % j == 0:
-                powers.append((j, class_size[class_of[x]]))
-        return (order, class_size[class_of[e]], tuple(powers))
-
-    signature_of = {e: signature(e) for e in G.elements}
+    invariant = {e: (class_order[c], class_size[c]) for e, c in class_of.items()}
     # each candidate image with its table, built once per search
     candidates = [
-        [(e, perm_table(e)) for e in G.elements if signature_of[e] == signature_of[g]]
-        for g in gens
+        [(e, perm_table(e)) for e in (reps if pos == 0 else G.elements)
+         if invariant[e] == invariant[g]]
+        for pos, g in enumerate(gens)
     ]
     # orders of g_j * g_pos for j < pos, which each choice must reproduce
-    pair_orders = [[order_of[perm_compose(prev, g)] for prev in gens[:pos]]
+    pair_orders = [[invariant[perm_compose(prev, g)][0] for prev in gens[:pos]]
                    for pos, g in enumerate(gens)]
     # the Cayley graph in breadth-first order: each x with, per generator,
     # y = x*g_i and whether this edge is the first one into y
@@ -166,7 +163,7 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
         for x in frontier:
             targets = []
             for table in gen_tables:
-                y = own[x.translate(table)]
+                y = x.translate(table)
                 first = y not in seen
                 targets.append((y, first))
                 if first:
@@ -182,7 +179,7 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
         for x, targets in steps:
             px = phi[x]
             for table, (y, first) in zip(tables, targets):
-                py = own[px.translate(table)]
+                py = px.translate(table)
                 if first:
                     phi[y] = py
                 elif phi[y] != py:
@@ -200,7 +197,7 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
         need = pair_orders[pos]
         for cand, table in candidates[pos]:
             # cheap pairwise invariant: orders of products must match
-            if all(order_of[prev.translate(table)] == order
+            if all(invariant[prev.translate(table)][0] == order
                    for prev, order in zip(chosen, need)):
                 backtrack(pos + 1, chosen + [cand], tables + [table])
 
@@ -208,13 +205,18 @@ def enumerate_automorphisms(G: SmallGroup, max_order: int = 10_000):
     return autos
 
 
-def generic_nr_aut_orbits(G: SmallGroup, max_order: int = 10_000) -> int:
-    """Orbit count via full enumeration of Aut for tiny groups."""
-    autos = enumerate_automorphisms(G, max_order)
+def generic_nr_aut_orbits(G: SmallGroup) -> int:
+    """Orbit count by fusing classes under the automorphisms up to inner."""
+    autos = automorphisms_up_to_inner(G)
     if not autos:
         raise AutGenerationFailed("no automorphisms found (bug)")
     return nr_aut_orbits_from_maps(G, [phi.__getitem__ for phi in autos])
 
 
-def generic_aut_order(G: SmallGroup, max_order: int = 10_000) -> int:
-    return len(enumerate_automorphisms(G, max_order))
+def generic_aut_order(G: SmallGroup) -> int:
+    """|Aut(G)| = sum over the listed maps of |class of phi(g1)|."""
+    class_of, _ = G.conjugacy_classes()
+    class_size = Counter(class_of.values())
+    one = identity(G.degree)
+    g1 = min(G.elements - {one}, default=one)
+    return sum(class_size[class_of[phi[g1]]] for phi in automorphisms_up_to_inner(G))

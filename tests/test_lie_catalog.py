@@ -141,8 +141,9 @@ def test_universal_vs_simple_order(get_group):
 def test_out_order_vs_generic_aut(get_group):
     from ordspectra import oracle
 
-    for n, q in [(2, 5), (2, 7), (2, 9)]:
-        psl = get_group("PSL", n, q)
-        aut = oracle.generic_aut_order(psl)
-        spec = lc.make_spec("A", n - 1, q)
-        assert aut == psl.order * lc.out_order(spec)
+    cases = [("PSL", 2, q, ("A", 1, q)) for q in (5, 7, 8, 9, 11, 13, 16)]
+    cases.append(("PSp", 4, 2, ("C", 2, 2)))  # S6, whose graph automorphism is outer
+    for kind, n, q, spec in cases:
+        group = get_group(kind, n, q)
+        aut = oracle.generic_aut_order(group)
+        assert aut == group.order * lc.out_order(lc.make_spec(*spec))

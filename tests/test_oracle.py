@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -204,26 +205,48 @@ def test_generic_aut_order_on_known_groups():
 ], ids=["S4", "A4", "A5", "S5", "C12", "SL(2,3)"])
 def test_enumerated_maps_are_automorphisms(group, aut_order):
     """Every map is a bijective homomorphism, checked on all pairs, and
-    distinct maps are distinct automorphisms."""
+    distinct maps are distinct automorphisms.  Each sends g1, the least
+    non-identity element, to a class representative, and weighting each
+    by the size of that class counts Aut."""
     G = group()
     elements = sorted(G.elements)
     index = {e: i for i, e in enumerate(elements)}
     mul = [[index[perm_compose(a, b)] for b in elements] for a in elements]
-    autos = oracle.enumerate_automorphisms(G)
+    autos = oracle.automorphisms_up_to_inner(G)
     images = {tuple(index[phi[e]] for e in elements) for phi in autos}
-    assert len(autos) == len(images) == aut_order
+    assert len(autos) == len(images)
     pairs = [(a, b) for a in range(len(elements)) for b in range(len(elements))]
     for phi in images:
         assert sorted(phi) == list(range(len(elements)))
         assert all(phi[mul[a][b]] == mul[phi[a]][phi[b]] for a, b in pairs)
+    class_of, reps = G.conjugacy_classes()
+    g1 = elements[1]
+    assert all(phi[g1] in reps for phi in autos)
+    class_size = Counter(class_of.values())
+    assert sum(class_size[class_of[phi[g1]]] for phi in autos) == aut_order
 
 
 def test_generic_aut_orbits_match_curated_maps(get_group):
-    groups = [get_group("PSL", 2, q) for q in (4, 5, 7)] + [get_group("PSL", 3, 2)]
+    groups = [get_group("PSL", 2, q) for q in (4, 5, 7, 8, 9, 11, 13)]
+    groups += [get_group("PSL", 3, 2)]
+    groups += [get_group(kind, 4, q) for kind in ("POmegaplus", "POmegaminus") for q in (2, 3)]
     groups += [oracle.build_alternating(4), oracle.build_alternating(5)]
     for G in groups:
         assert oracle.outer_maps_for(G) is not None
         assert oracle.generic_nr_aut_orbits(G) == oracle.nr_aut_orbits(G), G.meta
+
+
+@pytest.mark.parametrize("kind, n, q, orbits, aut_order", [
+    ("GU", 3, 2, 10, 1296),
+    ("GOplus", 4, 3, 15, 4608),
+    ("GOminus", 4, 3, 13, 2880),  # C2 x S6: |Aut| = 2 * |Aut(S6)|
+    ("PSp", 4, 2, 8, 1440),       # S6: curated maps would miss its graph automorphism
+])
+def test_generic_aut_of_groups_without_curated_maps(get_group, kind, n, q, orbits, aut_order):
+    G = get_group(kind, n, q)
+    assert oracle.outer_maps_for(G) is None
+    assert oracle.nr_aut_orbits(G) == orbits
+    assert oracle.generic_aut_order(G) == aut_order
 
 
 def test_semisimple_orders(get_group):
