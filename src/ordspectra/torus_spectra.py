@@ -16,10 +16,10 @@ may take and how many +1 blocks a torus may have:
 
 The order sets of the ambient GL/GU/GO and of the simple groups (one
 union path, ``_order_union``), the per-torus reference enumeration
-(``_simple_torus_exponents``), the level-1 bound and its support walk
-(``_supports``) all read this model.  ``_tori`` is the one walk that
-lists tori: each once, with the lcm of its factors, optionally pruned to
-at most a given number of blocks or to pairwise distinct blocks.
+(``_simple_torus_exponents``) and the level-1 bound all read this
+model.  ``_tori`` is the one walk that lists tori: each once, with the
+lcm of its factors, optionally pruned to at most a given number of
+blocks or to pairwise distinct blocks.
 
 Since each torus is abelian, its set of element orders is exactly the
 divisor set of its exponent, so the group's semisimple order set is the
@@ -52,12 +52,13 @@ that lattice, the OR of the divisor boxes of the exponents it divides.
 The count is the sum of the bitmaps' popcounts, and the listed order set
 expands the same bitmaps.  A dominated exponent costs one OR.  Which
 primes are dense changes only the speed, never the union.  The level-1
-bound sums the divisor count of every torus instead, so it reads the
-tori with one or two blocks (``_tori`` cut to two blocks) and the
-*supports* (``_supports``): the sets of distinct blocks that repeated
-blocks fill to a torus with at least three blocks.  ``_supports`` counts
-the tori of each support, which share its exponent, with a packed
-polynomial cut to the size still to fill, without listing them.
+bound sums the divisor count of every torus instead, without listing
+the tori: a forward dynamic program over the block kinds
+(``_tau_lcm_sum``) sums tau(lcm), merging the partial tori that agree
+on the size still to fill and on the lcm's exponents at the primes a
+later kind can still raise; the tori with one or two blocks (``_tori``
+cut to two blocks) then trade tau(lcm) for the divisor count of their
+simple-group exponent.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -74,7 +75,7 @@ from itertools import accumulate, compress
 from typing import Iterator
 
 from . import arith
-from .errors import DataMissing, DomainError, NotAvailable
+from .errors import CapacityError, DataMissing, DomainError, NotAvailable
 from .lie_catalog import EXCEPTIONAL_RANK, LieSpec
 
 
@@ -424,80 +425,99 @@ def _torus_exponent(spec: LieSpec, torus) -> Factored:
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
     """Factored exponents of the simple-group torus images, one per class:
     the plain enumeration over every torus, which the pruned
-    ``semisimple_orders_simple`` and the support-based
+    ``semisimple_orders_simple`` and the forward
     ``nr_semisimple_orders_bound`` are tested against."""
     size, signs, parity = _block_model(spec.family, spec.d)
     for torus, _ in _tori(size, spec.q, signs, parity):
         yield _torus_exponent(spec, torus)
 
 
-def _supports(d: int, q: int, signs: list[tuple[int, ...]], parity: int | None
-              ) -> Iterator[tuple[tuple[tuple[int, int], ...], int, int]]:
-    """(support, count, lcm) for every support of a torus of size d with
-    at least three blocks: a set of distinct blocks (a, s), the number of
-    tori with exactly these blocks, and lcm(q**a + s).
+#: k -> k + 1, the factor of a prime with exponent k in a divisor count
+_plus_one = (1).__add__
 
-    A torus has this support when extra copies of its blocks fill it up
-    to exactly d, with >= 3 blocks in all and, unless ``parity`` is None,
-    a number of +1 blocks of that parity.  The walk carries a knapsack:
-    ``fills`` is a pair of polynomials packed into ints, whose slot t
-    (bits t*width on) counts the multisets of extra copies summing to t
-    whose number of +1 blocks has (first) or lacks (second) the parity
-    still asked for.  A node keeps only the slots up to its rest, the
-    most any node below it reads, so its count is its top slot.
 
-    Slot width.  A slot t <= d counts some multisets of blocks (a, s) of
-    total size t, as does every partial sum on the way, so it holds at
-    most A000712(t), the partitions of t into parts of two kinds.
-    A000712(t) <= 1.25*2**t, with equality at t = 2: checked up to
-    t = 20, and past it A000712(t)*0.6**t <= prod (1 - 0.6**k)**-2 < 48.9.
-    So a slot stays below 2**(d + 1), and ``width`` = d + 2 bits never
-    carry into the next slot.
-    """
-    width = d + 2
-    masks = [(1 << (rest + 1) * width) - 1 for rest in range(d + 1)]
+def _tau_lcm_sum(size: int, kinds: list[tuple[int, bool, Factored]], parity: int | None) -> int:
+    """Sum of tau(lcm) over every torus of size ``size`` whose number of
+    +1 blocks has ``parity`` mod 2 (None: any), tau(lcm) being the
+    divisor count of the lcm of its factors.  ``kinds`` lists the blocks
+    in descending size, each as (a, flips, factored q**a + s), where
+    flips says that the block is +1 under a ``parity``; a torus takes
+    j >= 0 copies of each kind.
 
-    def refill(fills, a, flips, rest):
-        # fills times 1/(1 - x**step) = prod (1 + x**(step*2**k)), cut to the
-        # slots 0..rest; a +1 block under a parity adds its odd copies and
-        # swaps the pair, since it flips the parity the others must have
-        mask = masks[rest]
-        want, other = fills[0] & mask, fills[1] & mask
-        step = 2 * a if flips else a
-        while step <= rest:
-            shift = step * width
-            want += (want << shift) & mask
-            other += (other << shift) & mask
-            step *= 2
-        if flips:
-            shift = a * width
-            return other + ((want << shift) & mask), want + ((other << shift) & mask)
-        return want, other
+    A forward dynamic program over the kinds.  A state is a prefix of
+    the kinds with its multiplicities fixed, reduced to (rest, the
+    exponents of its lcm on the live primes), with a weight pair (even,
+    odd): the settled-tau-weighted number of such prefixes whose number
+    of +1 blocks is even or odd.  Taking j >= 1 copies of a kind raises
+    the exponents once, to their max with the kind's, and a +1 kind
+    swaps the pair for odd j.
 
-    # per size a: (blocks, flips, factor) of each sign, then of both signs
-    grow = [[(((a, sign),), parity is not None and sign == 1, q**a + sign) for sign in signs[a]]
-            for a in range(d + 1)]
-    pairs = [(((a, -1), (a, 1)), parity is not None, math.lcm(q**a - 1, q**a + 1))
-             if len(signs[a]) == 2 else None for a in range(d + 1)]
-    # (rest, largest block size still free, support, fills, lcm)
-    stack = [(d, d, (), (0, 1) if parity else (1, 0), 1)]
-    while stack:
-        rest, top, support, fills, lcm = stack.pop()
-        blocks = len(support)
-        if blocks >= 3 or (blocks == 2 and rest > 0) or (blocks == 1 and rest >= 2 * support[0][0]):
-            count = fills[0] >> rest * width
-            if count:
-                yield support, count, lcm
-        for a in range(top if top < rest else rest, 0, -1):
-            left = rest - a
-            plain = refill(fills, a, False, left)
-            for block, flips, m in grow[a]:
-                stack.append((left, a - 1, support + block,
-                              refill(fills, a, True, left) if flips else plain, math.lcm(lcm, m)))
-            if a <= left and pairs[a]:
-                block, flips, m = pairs[a]
-                stack.append((left - a, a - 1, support + block, refill(plain, a, flips, left - a),
-                              math.lcm(lcm, m)))
+    Why states merge.  tau(lcm) = prod_p (1 + max v_p) over the blocks.
+    A prime is live at kind k when some kind from k on divides by it;
+    the others are settled, since no later block can raise their
+    exponent.  So tau of a finished torus is the product of its settled
+    part, fixed by the prefix, and its live part, fixed by the live
+    exponents and the completion.  Two prefixes that reach the same kind
+    with equal rest and equal live exponents have the same completions,
+    with the same live part and the same parity change for each, so
+    their settled-tau weighted counts add.  The primes are ordered by
+    the last kind that divides them, descending: the live primes are
+    then a prefix, the live exponents a slice, and settling multiplies
+    the weight by prod (k + 1) over the cut suffix.
+
+    A state is filed under the next kind that fits its rest,
+    max(i + 1, first[rest]): the kinds between are larger than the rest
+    and leave it alone.  Exponents are bytes, so one above 255 raises
+    ``CapacityError``."""
+    last: dict[int, int] = {}
+    for i, (_, _, f) in enumerate(kinds):
+        for p, k in f.items():
+            if k:
+                last[p] = i
+    primes = sorted(last, key=lambda p: (-last[p], p))
+    where = {p: j for j, p in enumerate(primes)}
+    # live[i]: the primes some kind from i on divides by, a prefix of primes
+    live = [sum(last[p] >= i for p in primes) for i in range(len(kinds) + 1)]
+    raise_by = []
+    for i, (_, _, f) in enumerate(kinds):
+        vector = [0] * live[i]
+        for p, k in f.items():
+            if k > 255:
+                raise CapacityError(f"exponent {k} of the prime {p} exceeds 255, the most "
+                                    "the level-1 bound stores", needed=k)
+            if k:
+                vector[where[p]] = k
+        raise_by.append(bytes(vector))
+    # first[rest]: the first kind of size at most rest
+    sizes = [-a for a, _, _ in kinds]
+    first = [bisect_left(sizes, -rest) for rest in range(size + 1)]
+    # filed[i]: {(rest, live exponents): [even, odd]} of the states kind i comes to next
+    filed: list[dict[tuple[int, bytes], list[int]]] = [{} for _ in kinds]
+    filed[0][size, bytes(live[0])] = [1, 0]
+    done = [0, 0]
+    for i, (a, flips, _) in enumerate(kinds):
+        for (rest, exponents), (even, odd) in filed[i].items():
+            raised = bytes(map(max, exponents, raise_by[i]))
+            for j in range(rest // a + 1):
+                left, vector = rest - j * a, raised if j else exponents
+                e, o = (odd, even) if flips and j % 2 else (even, odd)
+                if left == 0:
+                    tau = math.prod(map(_plus_one, vector))
+                    done[0] += e * tau
+                    done[1] += o * tau
+                    continue
+                k = max(i + 1, first[left])
+                if k == len(kinds):
+                    continue
+                cut = live[k]
+                if len(vector) > cut:
+                    settled = math.prod(map(_plus_one, vector[cut:]))
+                    vector, e, o = vector[:cut], e * settled, o * settled
+                weight = filed[k].setdefault((left, vector), [0, 0])
+                weight[0] += e
+                weight[1] += o
+        filed[i] = {}
+    return done[0] + done[1] if parity is None else done[parity]
 
 
 class _DivisorUnion:
@@ -634,20 +654,19 @@ def nr_semisimple_orders(spec: LieSpec) -> int:
 
 def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     """Upper bound: per-torus divisor counts are summed instead of
-    materializing the union (quality level 1).  The tori with one or two
-    blocks are summed one by one; the others share the exponent of their
-    support, which counts once per torus of the support (the count
-    ``_supports`` yields)."""
+    materializing the union (quality level 1).  ``_tau_lcm_sum`` sums
+    tau(lcm) over every torus without listing them; the lcm is the
+    simple-group exponent from three blocks on, so each torus with one
+    or two blocks then trades tau(lcm) for tau(its exponent)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
     size, signs, parity = _block_model(spec.family, spec.d)
-    total = sum(_fact_tau(_torus_exponent(spec, torus))
-                for torus, _ in _tori(size, spec.q, signs, parity, most=2))
-    taus: dict[int, int] = {}
-    for support, count, lcm in _supports(size, spec.q, signs, parity):
-        if lcm not in taus:
-            taus[lcm] = _fact_tau(_support_lcm(spec.q, support))
-        total += count * taus[lcm]
+    q = spec.q
+    kinds = [(a, parity is not None and s == 1, dict(_factored_pm1(q, a, s)))
+             for a in range(size, 0, -1) for s in signs[a]]
+    total = _tau_lcm_sum(size, kinds, parity)
+    for torus, _ in _tori(size, q, signs, parity, most=2):
+        total += _fact_tau(_torus_exponent(spec, torus)) - _fact_tau(_support_lcm(q, torus))
     return total
 
 

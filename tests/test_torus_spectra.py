@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ordspectra import lie_catalog as lc
 from ordspectra import torus_spectra as ts
-from ordspectra.errors import DataMissing, DomainError, NotAvailable
+from ordspectra.errors import CapacityError, DataMissing, DomainError, NotAvailable
 
 
 def test_gl_examples():
@@ -420,8 +420,8 @@ def twisted_q(family, q):
 
 @pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
 def test_supports_match_per_torus_enumeration(family):
-    """The merge-free union and the level-1 sum over supports equal the
-    union and the sum over every torus."""
+    """The merge-free union and the level-1 forward sum equal the union
+    and the sum over every torus."""
     for q in (2, 3):
         Q = twisted_q(family, q)
         for d in range(2 if family in ("D", "2D") else 1, 16):
@@ -434,21 +434,117 @@ def test_supports_match_per_torus_enumeration(family):
             assert ts.nr_semisimple_orders_bound(spec) == total, (family, d, Q)
 
 
+def supports(d, q, signs, parity):
+    """(support, count, lcm) for every support of a torus of size d with
+    at least three blocks: a set of distinct blocks (a, s), the number of
+    tori with exactly these blocks, and lcm(q**a + s).  The reference
+    walk for the level-1 bound, which sums tau(lcm) once per torus.
+
+    A torus has this support when extra copies of its blocks fill it up
+    to exactly d, with >= 3 blocks in all and, unless ``parity`` is None,
+    a number of +1 blocks of that parity.  The walk carries a knapsack:
+    ``fills`` is a pair of polynomials packed into ints, whose slot t
+    (bits t*width on) counts the multisets of extra copies summing to t
+    whose number of +1 blocks has (first) or lacks (second) the parity
+    still asked for.  A node keeps only the slots up to its rest, the
+    most any node below it reads, so its count is its top slot.
+
+    Slot width.  A slot t <= d counts some multisets of blocks (a, s) of
+    total size t, as does every partial sum on the way, so it holds at
+    most A000712(t), the partitions of t into parts of two kinds.
+    A000712(t) <= 1.25*2**t, with equality at t = 2: checked up to
+    t = 20, and past it A000712(t)*0.6**t <= prod (1 - 0.6**k)**-2 < 48.9
+    (``test_slot_width_bound``).  So a slot stays below 2**(d + 1), and
+    ``width`` = d + 2 bits never carry into the next slot.
+    """
+    width = d + 2
+    masks = [(1 << (rest + 1) * width) - 1 for rest in range(d + 1)]
+
+    def refill(fills, a, flips, rest):
+        # fills times 1/(1 - x**step) = prod (1 + x**(step*2**k)), cut to the
+        # slots 0..rest; a +1 block under a parity adds its odd copies and
+        # swaps the pair, since it flips the parity the others must have
+        mask = masks[rest]
+        want, other = fills[0] & mask, fills[1] & mask
+        step = 2 * a if flips else a
+        while step <= rest:
+            shift = step * width
+            want += (want << shift) & mask
+            other += (other << shift) & mask
+            step *= 2
+        if flips:
+            shift = a * width
+            return other + ((want << shift) & mask), want + ((other << shift) & mask)
+        return want, other
+
+    # per size a: (blocks, flips, factor) of each sign, then of both signs
+    grow = [[(((a, sign),), parity is not None and sign == 1, q**a + sign) for sign in signs[a]]
+            for a in range(d + 1)]
+    pairs = [(((a, -1), (a, 1)), parity is not None, math.lcm(q**a - 1, q**a + 1))
+             if len(signs[a]) == 2 else None for a in range(d + 1)]
+    # (rest, largest block size still free, support, fills, lcm)
+    stack = [(d, d, (), (0, 1) if parity else (1, 0), 1)]
+    while stack:
+        rest, top, support, fills, lcm = stack.pop()
+        blocks = len(support)
+        if blocks >= 3 or (blocks == 2 and rest > 0) or (blocks == 1 and rest >= 2 * support[0][0]):
+            count = fills[0] >> rest * width
+            if count:
+                yield support, count, lcm
+        for a in range(top if top < rest else rest, 0, -1):
+            left = rest - a
+            plain = refill(fills, a, False, left)
+            for block, flips, m in grow[a]:
+                stack.append((left, a - 1, support + block,
+                              refill(fills, a, True, left) if flips else plain, math.lcm(lcm, m)))
+            if a <= left and pairs[a]:
+                block, flips, m = pairs[a]
+                stack.append((left - a, a - 1, support + block, refill(plain, a, flips, left - a),
+                              math.lcm(lcm, m)))
+
+
 def support_walk_union(spec):
     """The order set as the union over the one- and two-block tori and
-    every support of ``_supports``, each distinct exponent taken once."""
+    every support of ``supports``, each distinct exponent taken once."""
     size, signs, parity = ts._block_model(spec.family, spec.d)
     exponents = {}
     for torus, _ in ts._tori(size, spec.q, signs, parity, most=2):
         exponent = ts._torus_exponent(spec, torus)
         exponents[ts._fact_value(exponent)] = exponent
-    for support, _, lcm in ts._supports(size, spec.q, signs, parity):
+    for support, _, lcm in supports(size, spec.q, signs, parity):
         if lcm not in exponents:
             exponents[lcm] = ts._support_lcm(spec.q, support)
     union = set()
     for exponent in exponents.values():
         union.update(ts._fact_divisors(exponent))
     return union
+
+
+@pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
+def test_bound_matches_support_walk(family):
+    """The level-1 bound is the sum of tau(exponent) over the tori with
+    one or two blocks plus count * tau(lcm) over the supports."""
+    for q in (2, 3, 4, 5):
+        Q = twisted_q(family, q)
+        for d in range(2 if family in ("D", "2D") else 1, 17):
+            spec = lc.make_spec(family, d, Q)
+            size, signs, parity = ts._block_model(family, d)
+            total = sum(ts._fact_tau(ts._torus_exponent(spec, torus))
+                        for torus, _ in ts._tori(size, spec.q, signs, parity, most=2))
+            for support, count, _ in supports(size, spec.q, signs, parity):
+                total += count * ts._fact_tau(ts._support_lcm(spec.q, support))
+            assert ts.nr_semisimple_orders_bound(spec) == total, (family, d, Q)
+
+
+def test_tau_lcm_sum_refuses_exponents_past_a_byte():
+    """An exponent that a byte cannot hold raises a typed error naming
+    the prime and the exponent; one that fits is summed."""
+    kinds = [(2, False, {3: 256}), (1, False, {2: 1})]
+    with pytest.raises(CapacityError, match="exponent 256 of the prime 3"):
+        ts._tau_lcm_sum(2, kinds, None)
+    # tori (2) and (1, 1): tau(3**255) + tau(2)
+    kinds[0] = (2, False, {3: 255})
+    assert ts._tau_lcm_sum(2, kinds, None) == 256 + 2
 
 
 @pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
@@ -465,7 +561,7 @@ def test_union_matches_support_walk(family):
 def nr_fillings(rest, support, parity):
     """Number of tori with exactly this support whose extra copies fill
     ``rest``: a counting knapsack rebuilt for one support, the reference
-    for the counts that ``_supports`` carries along its walk."""
+    for the counts that ``supports`` carries along its walk."""
     want = 0 if parity is None else (parity - sum(s == 1 for _, s in support)) % 2
     even, odd = [1] + [0] * rest, [0] * (rest + 1)
     for a, sign in support:
@@ -481,7 +577,7 @@ def nr_fillings(rest, support, parity):
 
 @pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
 def test_support_counts_match_knapsack(family):
-    """``_supports`` yields each support once: the set of distinct blocks
+    """``supports`` yields each support once: the set of distinct blocks
     of each torus with at least three blocks, with the number of such
     tori (equal to the knapsack's count) and the lcm of its factors."""
     for d in range(2 if family in ("D", "2D") else 1, 15):
@@ -493,7 +589,7 @@ def test_support_counts_match_knapsack(family):
             assert nr_fillings(rest, support, parity) == count, (family, d, support)
         for q in (2, 3, 4):
             got = {}
-            for support, count, lcm in ts._supports(size, q, signs, parity):
+            for support, count, lcm in supports(size, q, signs, parity):
                 assert support not in got, (family, d, support)
                 assert lcm == math.lcm(*(q**a + s for a, s in support)), (family, d, q, support)
                 got[support] = count
@@ -526,7 +622,7 @@ def test_pruned_walks_match_full_walk(family):
 
 def test_slot_width_bound():
     """A000712(t) <= 1.25 * 2**t, the bound that sizes the slots of
-    ``_supports``: checked for t <= 200, tight at t = 2, and implied past
+    ``supports``: checked for t <= 200, tight at t = 2, and implied past
     t = 20 by the generating function at x = 0.6."""
     top = 200
     pairs = [1] + [0] * top
@@ -541,15 +637,22 @@ def test_slot_width_bound():
     assert 48.9 * 0.6**-21 <= 1.25 * 2**21
 
 
-#: level-1 bounds past the survey's pinned ranks, as computed by the
-#: per-support knapsack that preceded the counting walk
+#: level-1 bounds past the survey's pinned ranks: 28-32 as computed by
+#: the per-support knapsack that preceded the counting walk, 33-40 by the
+#: counting walk (``supports``), which shares no code with the forward
+#: program
+BC_3 = {28: 27_784_743, 29: 41_181_201, 30: 60_705_827, 31: 89_007_440, 32: 129_853_235,
+        33: 188_514_386, 34: 272_420_587, 35: 391_890_612, 36: 561_364_846,
+        37: 800_768_592, 38: 1_137_776_532, 39: 1_610_349_548, 40: 2_270_833_512}
 LEVEL_ONE_BOUNDS = {
-    ("B", 3): {28: 27_784_743, 29: 41_181_201, 30: 60_705_827, 31: 89_007_440,
-               32: 129_853_235},
-    ("C", 3): {28: 27_784_743, 29: 41_181_201, 30: 60_705_827, 31: 89_007_440,
-               32: 129_853_235},
-    ("D", 2): {30: 8_663_187, 31: 12_433_945, 32: 17_761_736},
-    ("2D", 9): {30: 30_351_604, 31: 44_504_322, 32: 64_926_609},
+    ("B", 3): BC_3,
+    ("C", 3): BC_3,
+    ("D", 2): {30: 8_663_187, 31: 12_433_945, 32: 17_761_736, 33: 25_252_804,
+               34: 35_746_688, 35: 50_382_336, 36: 70_723_590, 37: 98_880_000,
+               38: 137_727_608, 39: 191_126_870, 40: 264_301_003},
+    ("2D", 9): {30: 30_351_604, 31: 44_504_322, 32: 64_926_609, 33: 94_258_359,
+                34: 136_209_802, 35: 195_947_494, 36: 280_681_902, 37: 400_388_122,
+                38: 568_889_690, 39: 805_181_786, 40: 1_135_417_142},
 }
 
 
