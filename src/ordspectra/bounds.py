@@ -29,8 +29,8 @@ from .class_numbers import ClassNumberProvider, class_number_lower_bound
 from .errors import DataMissing, DomainError, NotAvailable, OutOfScope
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
+    FAMILY_TABLE,
     LieSpec,
-    coxeter_number,
     group_order,
     make_spec,
     out_order,
@@ -87,7 +87,7 @@ class EpsilonResult:
 def _p_power_orders(spec: LieSpec) -> int:
     """1 + ceil(log_p h), h the Coxeter number of the untwisted type: the
     count of p-power element orders that the bounds multiply by."""
-    return 1 + arith.ceil_log(spec.p, coxeter_number(spec.family.lstrip("2"), spec.d))
+    return 1 + arith.ceil_log(spec.p, FAMILY_TABLE[spec.family].coxeter(spec.d))
 
 
 def _ceil_div(a: int | Fraction, b: int) -> int:
@@ -194,7 +194,7 @@ def epsilon_q_fixed_small_q(family: str, d: int, constants: dict,
         raise DomainError("fixed-small-q bounds exist for classical families only")
     if not 54 <= d <= 90:
         warnings.warn(f"d = {d} is outside the intended range 54..90")
-    q_fixed = 4 if family in ("2A", "2D") else 2
+    q_fixed = 2 ** FAMILY_TABLE[family].t
     const_name = f"oss_{family}_90_{q_fixed}"
     if const_name not in constants:
         raise DataMissing(f"constant {const_name}")

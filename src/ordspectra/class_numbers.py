@@ -18,18 +18,18 @@ from . import messages
 from .errors import DataMissing, DomainError, NotAvailable
 from .lie_catalog import LieSpec, outdiag_order
 
-#: label -> number of integer parameters following it in a classnum record
+#: the labels of classnum records, each followed by two integer parameters
 LABELS = {
-    "PSL": 2, "PSU": 2, "Sp": 2,
-    "SOplus": 2, "SOminus": 2, "OmegaPlus": 2, "OmegaMinus": 2,
-    "OmegaSum": 2, "OmegaDiff": 2, "SOSum": 2, "SODiff": 2,
-    "B": 2,
-    "InndiagE6": 2, "Inndiag2E6": 2, "InndiagE7": 2,
-    "2B2": 2, "G2": 2, "2G2": 2, "3D4": 2, "F4": 2, "2F4": 2, "E8": 2,
+    "PSL", "PSU", "Sp",
+    "SOplus", "SOminus", "OmegaPlus", "OmegaMinus",
+    "OmegaSum", "OmegaDiff", "SOSum", "SODiff",
+    "B",
+    "InndiagE6", "Inndiag2E6", "InndiagE7",
+    "2B2", "G2", "2G2", "3D4", "F4", "2F4", "E8",
 }
 
-#: exceptional families whose class number is exact (table-backed)
-EXACT_K_FAMILIES = ("2B2", "G2", "2G2", "3D4", "F4", "2F4", "E8")
+#: families whose class number is exact (table-backed)
+EXACT_K_FAMILIES = ("A", "2A", "B", "2B2", "G2", "2G2", "3D4", "F4", "2F4", "E8")
 
 
 class ClassNumberProvider:

@@ -142,7 +142,7 @@ def _run_lie(args, store: DataStore) -> list[dict]:
     if args.lie_cmd == "outdiag":
         return [{"outdiag": outdiag_order(spec)}]
     if args.lie_cmd == "k":
-        if args.level is None and spec.family in ("A", "2A", "B") + EXACT_K_FAMILIES:
+        if args.level is None and spec.family in EXACT_K_FAMILIES:
             return [{"k": class_number_exact(spec, store.class_numbers)}]
         return [{"k_bound": class_number_lower_bound(
             spec, args.level, store.class_numbers)}]

@@ -7,11 +7,24 @@ Q = q**t and t is the twist degree (1 untwisted; 2 for 2A/2D/2E6 and the
 Suzuki/Ree families; 3 for 3D4).  For the Suzuki/Ree families q is the
 irrational square root of Q, so q is stored exactly as p raised to a
 half-integer exponent (p, 2f).
+
+``FAMILY_TABLE`` holds every fact about a family once, in one ``Family``
+row: its twist, its fixed (exceptional) or least (classical) rank, the
+Suzuki/Ree prime, the order's N and signed degrees, and the Coxeter
+number of its untwisted type.  The order is the standard identity
+(Carter, *Finite Groups of Lie Type*, 1985, section 2.9)
+
+    |S| = base**N * prod(base**k - e) / |Z|,  |Z| = |Outdiag(S)|,
+
+with base = Q for 2B2/2G2/2F4 and base = q otherwise.  A signed degree
+k > 0 stands for base**k - 1 and -k for base**k + 1.  3D4 also divides
+by its row's ``over`` factor q^4 - 1, as q^8 + q^4 + 1 = (q^12 - 1)/(q^4 - 1).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,34 +37,63 @@ from .errors import (
     WrongTwistForm,
 )
 
-CLASSICAL_FAMILIES = ("A", "2A", "B", "C", "D", "2D")
 
+@dataclass(frozen=True)
+class Family:
+    """One Lie family.  N, degrees and coxeter are functions of the rank d
+    so that classical and exceptional rows read alike."""
+
+    t: int  # twist degree: Q = q**t
+    rank: int  # the fixed rank of an exceptional family, the least of a classical one
+    classical: bool
+    N: Callable[[int], int]  # the power of base in the order
+    degrees: Callable[[int], tuple[int, ...]]  # signed degrees of the order
+    coxeter: Callable[[int], int]  # Coxeter number of the untwisted type
+    sqrt_p: int | None = None  # Suzuki/Ree prime: Q = p**(2k+1), q = sqrt(Q)
+    over: tuple[int, ...] = ()  # signed degrees the order is divided by
+
+
+def _fixed(t, rank, N, degrees, coxeter, sqrt_p=None, over=()):
+    """An exceptional row, whose rank fixes N, degrees and Coxeter number."""
+    return Family(t, rank, False, lambda d: N, lambda d: degrees, lambda d: coxeter,
+                  sqrt_p, over)
+
+
+def _even(d):
+    """The degrees 2, 4, ..., 2d of B_d and C_d."""
+    return tuple(range(2, 2 * d + 1, 2))
+
+
+FAMILY_TABLE = {
+    "A": Family(1, 1, True, lambda d: d * (d + 1) // 2,
+                lambda d: tuple(range(2, d + 2)), lambda d: d + 1),
+    "2A": Family(2, 1, True, lambda d: d * (d + 1) // 2,
+                 lambda d: tuple(k if k % 2 == 0 else -k for k in range(2, d + 2)),
+                 lambda d: d + 1),
+    "B": Family(1, 1, True, lambda d: d * d, _even, lambda d: 2 * d),
+    "C": Family(1, 1, True, lambda d: d * d, _even, lambda d: 2 * d),
+    "D": Family(1, 2, True, lambda d: d * (d - 1), lambda d: _even(d - 1) + (d,),
+                lambda d: 2 * d - 2),
+    "2D": Family(2, 2, True, lambda d: d * (d - 1), lambda d: _even(d - 1) + (-d,),
+                 lambda d: 2 * d - 2),
+    "2B2": _fixed(2, 2, 2, (-2, 1), 4, sqrt_p=2),
+    "G2": _fixed(1, 2, 6, (6, 2), 6),
+    "2G2": _fixed(2, 2, 3, (-3, 1), 6, sqrt_p=3),
+    "3D4": _fixed(3, 4, 12, (12, 6, 2), 6, over=(4,)),
+    "F4": _fixed(1, 4, 24, (12, 8, 6, 2), 12),
+    "2F4": _fixed(2, 4, 12, (-6, 4, -3, 1), 12, sqrt_p=2),
+    "E6": _fixed(1, 6, 36, (12, 9, 8, 6, 5, 2), 12),
+    "2E6": _fixed(2, 6, 36, (12, -9, 8, 6, -5, 2), 12),
+    "E7": _fixed(1, 7, 63, (18, 14, 12, 10, 8, 6, 2), 18),
+    "E8": _fixed(1, 8, 120, (30, 24, 20, 18, 14, 12, 8, 2), 30),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+CLASSICAL_FAMILIES = tuple(f for f, row in FAMILY_TABLE.items() if row.classical)
 #: Fixed rank per exceptional family.
-EXCEPTIONAL_RANK = {
-    "2B2": 2,
-    "G2": 2,
-    "2G2": 2,
-    "3D4": 4,
-    "F4": 4,
-    "2F4": 4,
-    "E6": 6,
-    "2E6": 6,
-    "E7": 7,
-    "E8": 8,
-}
-
-FAMILIES = CLASSICAL_FAMILIES + tuple(EXCEPTIONAL_RANK)
-
+EXCEPTIONAL_RANK = {f: row.rank for f, row in FAMILY_TABLE.items() if not row.classical}
 #: Twist degree t with Q = q**t.
-TWIST = {
-    "A": 1, "B": 1, "C": 1, "D": 1, "G2": 1, "F4": 1,
-    "E6": 1, "E7": 1, "E8": 1,
-    "2A": 2, "2D": 2, "2E6": 2, "2B2": 2, "2G2": 2, "2F4": 2,
-    "3D4": 3,
-}
-
-#: Families whose q = sqrt(Q) is irrational (odd power of the characteristic).
-_SQRT_FAMILIES = {"2B2": 2, "2G2": 3, "2F4": 2}
+TWIST = {f: row.t for f, row in FAMILY_TABLE.items()}
 
 #: Parameter points that name non-simple groups; accepted with a warning.
 _NON_SIMPLE = {
@@ -108,130 +150,56 @@ def make_spec(family: str, d: int | None = None, Q: int | None = None) -> LieSpe
     Non-simple small parameter points are accepted but flagged through the
     ``warning`` attribute.
     """
-    if family not in FAMILIES:
+    row = FAMILY_TABLE.get(family)
+    if row is None:
         raise DomainError(f"unknown family {family!r}")
     if Q is None:
         raise DomainError("field parameter Q is required")
-    if family in EXCEPTIONAL_RANK:
-        fixed = EXCEPTIONAL_RANK[family]
-        if d is not None and d != fixed:
-            raise RankOutOfRange(f"{family} has fixed rank {fixed}")
-        d = fixed
-    else:
-        if d is None:
-            raise DomainError("rank d is required for classical families")
-        minimum = 2 if family in ("D", "2D") else 1
-        if d < minimum:
-            raise RankOutOfRange(f"family {family} requires d >= {minimum}")
+    if not row.classical:
+        if d is not None and d != row.rank:
+            raise RankOutOfRange(f"{family} has fixed rank {row.rank}")
+        d = row.rank
+    elif d is None:
+        raise DomainError("rank d is required for classical families")
+    elif d < row.rank:
+        raise RankOutOfRange(f"family {family} requires d >= {row.rank}")
     split = arith.prime_power_split(Q)
     if split is None:
         raise NotPrimePower(f"Q = {Q} is not a prime power")
     p, e = split
-
-    t = TWIST[family]
-    if family in _SQRT_FAMILIES:
-        want_p = _SQRT_FAMILIES[family]
-        if p != want_p or e % 2 == 0:
+    if row.sqrt_p is not None:
+        if p != row.sqrt_p or e % 2 == 0:
             raise WrongTwistForm(
-                f"{family} requires Q = {want_p}^(2k+1); got {Q}"
+                f"{family} requires Q = {row.sqrt_p}^(2k+1); got {Q}"
             )
-        f2 = e  # f = e/2, half-integral
-    elif t == 2:
-        if e % 2:
-            raise WrongTwistForm(f"{family} requires Q = q^2 for a prime power q")
-        f2 = e  # f = e/2 integral here since e is even
-    elif t == 3:
-        if e % 3:
-            raise WrongTwistForm(f"{family} requires Q = q^3 for a prime power q")
-        f2 = 2 * (e // 3)
-    else:
-        f2 = 2 * e
+    elif e % row.t:
+        raise WrongTwistForm(f"{family} requires Q = q^{row.t} for a prime power q")
 
     warning = _NON_SIMPLE.get((family, d, Q))
     if warning is None and family == "D" and d == 2:
         warning = "D2(q) is a direct product of two simple groups, not simple"
     if warning is None and family == "2A" and d == 1:
         warning = "2A1 coincides with A1; family formulas refer to the 2A shape"
-    return LieSpec(family=family, d=d, Q=Q, p=p, f2=f2, t=t, warning=warning)
+    return LieSpec(family=family, d=d, Q=Q, p=p, f2=2 * e // row.t, t=row.t,
+                   warning=warning)
 
 
 # ---------------------------------------------------------------------------
 # group orders
 
 
+def _signed_product(base: int, degrees: tuple[int, ...]) -> int:
+    """prod(base**k - 1) over k > 0 times prod(base**k + 1) over -k < 0."""
+    return math.prod(base**k - 1 if k > 0 else base**-k + 1 for k in degrees)
+
+
 def group_order(spec: LieSpec) -> int:
     """Order of the (possibly non-simple at flagged points) group named
-    by the spec, via the standard order polynomials."""
-    family, d, Q = spec.family, spec.d, spec.Q
-    q = spec.q
-    if family == "A":
-        n = d + 1
-        return (
-            q ** (d * (d + 1) // 2)
-            * math.prod(q**i - 1 for i in range(2, n + 1))
-            // math.gcd(n, q - 1)
-        )
-    if family == "2A":
-        n = d + 1
-        return (
-            q ** (d * (d + 1) // 2)
-            * math.prod(q**i - (-1) ** i for i in range(2, n + 1))
-            // math.gcd(n, q + 1)
-        )
-    if family in ("B", "C"):
-        return (
-            q ** (d * d)
-            * math.prod(q ** (2 * i) - 1 for i in range(1, d + 1))
-            // math.gcd(2, q - 1)
-        )
-    if family == "D":
-        return (
-            q ** (d * (d - 1))
-            * (q**d - 1)
-            * math.prod(q ** (2 * i) - 1 for i in range(1, d))
-            // math.gcd(4, q**d - 1)
-        )
-    if family == "2D":
-        return (
-            q ** (d * (d - 1))
-            * (q**d + 1)
-            * math.prod(q ** (2 * i) - 1 for i in range(1, d))
-            // math.gcd(4, q**d + 1)
-        )
-    if family == "2B2":
-        return Q * Q * (Q * Q + 1) * (Q - 1)
-    if family == "G2":
-        return q**6 * (q**6 - 1) * (q**2 - 1)
-    if family == "2G2":
-        return Q**3 * (Q**3 + 1) * (Q - 1)
-    if family == "3D4":
-        return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
-    if family == "F4":
-        return q**24 * math.prod(q**i - 1 for i in (12, 8, 6, 2))
-    if family == "2F4":
-        return Q**12 * (Q**6 + 1) * (Q**4 - 1) * (Q**3 + 1) * (Q - 1)
-    if family == "E6":
-        return (
-            q**36
-            * math.prod(q**i - 1 for i in (12, 9, 8, 6, 5, 2))
-            // math.gcd(3, q - 1)
-        )
-    if family == "2E6":
-        return (
-            q**36
-            * (q**12 - 1) * (q**9 + 1) * (q**8 - 1)
-            * (q**6 - 1) * (q**5 + 1) * (q**2 - 1)
-            // math.gcd(3, q + 1)
-        )
-    if family == "E7":
-        return (
-            q**63
-            * math.prod(q**i - 1 for i in (18, 14, 12, 10, 8, 6, 2))
-            // math.gcd(2, q - 1)
-        )
-    if family == "E8":
-        return q**120 * math.prod(q**i - 1 for i in (30, 24, 20, 18, 14, 12, 8, 2))
-    raise DomainError(f"unknown family {family!r}")
+    by the spec: base**N * prod(base**k - e) / |Outdiag(S)|."""
+    row = FAMILY_TABLE[spec.family]
+    base = spec.Q if row.sqrt_p else spec.q
+    return (base ** row.N(spec.d) * _signed_product(base, row.degrees(spec.d))
+            // (_signed_product(base, row.over) * outdiag_order(spec)))
 
 
 def log_log_group_order(spec: LieSpec) -> float:
@@ -263,23 +231,11 @@ def outdiag_order(spec: LieSpec) -> int:
     return 1
 
 
-def _field_part(spec: LieSpec) -> int:
-    """Order of the field-automorphism contribution to Out."""
-    if spec.family in _SQRT_FAMILIES:
-        return spec.f2  # 2k+1
-    f = spec.f2 // 2
-    if spec.t == 2:
-        return 2 * f
-    if spec.t == 3:
-        return 3 * f
-    return f
-
-
 def out_order(spec: LieSpec) -> int:
     """|Out(S)| as the product of diagonal, field and graph parts."""
     family, d, p = spec.family, spec.d, spec.p
     diag = outdiag_order(spec)
-    field = _field_part(spec)
+    field = spec.f2 * spec.t // 2  # Q = p**(f*t): the field automorphisms
     graph = 1
     if family == "A" and d >= 2:
         graph = 2
@@ -300,19 +256,9 @@ def out_order(spec: LieSpec) -> int:
 
 def coxeter_number(family: str, d: int | None = None) -> int:
     """Coxeter number of the untwisted families that define one."""
-    if family == "A":
-        if d is None or d < 1:
-            raise DomainError("rank required")
-        return d + 1
-    if family in ("B", "C"):
-        if d is None or d < 1:
-            raise DomainError("rank required")
-        return 2 * d
-    if family == "D":
-        if d is None or d < 2:
-            raise DomainError("rank required")
-        return 2 * d - 2
-    fixed = {"G2": 6, "F4": 12, "E6": 12, "E7": 18, "E8": 30}
-    if family in fixed:
-        return fixed[family]
-    raise NotAvailable(f"no Coxeter number function for family {family}")
+    row = FAMILY_TABLE.get(family)
+    if row is None or row.t != 1:
+        raise NotAvailable(f"no Coxeter number function for family {family}")
+    if row.classical and (d is None or d < row.rank):
+        raise DomainError("rank required")
+    return row.coxeter(d)

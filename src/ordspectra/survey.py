@@ -20,8 +20,7 @@ from . import arith, bounds
 from .class_numbers import ClassNumberProvider
 from .errors import (DataMissing, DomainError, NotAvailable, OrdspectraError,
                      PrecisionError)
-from .lie_catalog import (_SQRT_FAMILIES, CLASSICAL_FAMILIES, EXCEPTIONAL_RANK, TWIST, LieSpec,
-                          make_spec)
+from .lie_catalog import EXCEPTIONAL_RANK, FAMILY_TABLE, LieSpec, make_spec
 from .sym_partitions import g2
 from .torus_spectra import SpectrumProvider
 from . import messages
@@ -255,14 +254,15 @@ def _valid_Q_values(family: str, q0: int) -> list[int]:
     """The field parameters Q of an exceptional family below q0: the odd
     powers p^3, p^5, ... below q0 for the Suzuki/Ree families, else
     q^t for each prime power q below q0."""
-    if family in _SQRT_FAMILIES:
-        p = _SQRT_FAMILIES[family]
+    row = FAMILY_TABLE[family]
+    if row.sqrt_p:
+        p = row.sqrt_p
         out, Q = [], p**3
         while Q < q0:
             out.append(Q)
             Q *= p * p
         return out
-    return [q ** TWIST[family] for q in prime_powers_below(q0)]
+    return [q ** row.t for q in prime_powers_below(q0)]
 
 
 def _specs(q0: Q0Table, kinds):
@@ -273,10 +273,10 @@ def _specs(q0: Q0Table, kinds):
         if not isinstance(key, kinds):
             continue
         if isinstance(key, int):
-            points = [(family, key, q ** TWIST[family])
+            points = [(family, key, q ** row.t)
                       for q in prime_powers_below(cutoff)
-                      for family in CLASSICAL_FAMILIES
-                      if key >= 2 or family not in ("D", "2D")]
+                      for family, row in FAMILY_TABLE.items()
+                      if row.classical and key >= row.rank]
         else:
             points = [(key, None, Q) for Q in _valid_Q_values(key, cutoff)]
         for family, d, Q in points:

@@ -62,6 +62,14 @@ def test_group_orders():
     assert lc.group_order(lc.make_spec("2G2", Q=3)) == 1512
     assert lc.group_order(lc.make_spec("2F4", Q=2)) == 35942400
     assert lc.group_order(lc.make_spec("3D4", Q=8)) == 211341312
+    # 2^24 3^6 5^2 7^2 13 17
+    assert lc.group_order(lc.make_spec("F4", Q=2)) == 3311126603366400
+    assert lc.group_order(lc.make_spec("E6", Q=2)) == 214841575522005575270400
+    assert lc.group_order(lc.make_spec("2E6", Q=4)) == 76532479683774853939200
+    assert lc.group_order(lc.make_spec("E7", Q=2)) == (
+        7997476042075799759100487262680802918400)
+    assert lc.group_order(lc.make_spec("E8", Q=2)) == (
+        337804753143634806261388190614085595079991692242467651576160959909068800000)
 
 
 def test_log_log_order_never_overflows():
@@ -129,13 +137,16 @@ def test_coxeter_numbers():
 
 
 def test_universal_vs_simple_order(get_group):
-    # |SL| = |PSL| * gcd(n, q-1): the center order implied by outdiag
-    for n, q in [(2, 5), (2, 9), (3, 4)]:
-        sl = get_group("SL", n, q)
-        psl = get_group("PSL", n, q)
-        spec = lc.make_spec("A", n - 1, q)
-        assert lc.group_order(spec) == psl.order
-        assert sl.order == psl.order * lc.outdiag_order(spec)
+    # |universal| = |simple| * |Outdiag|: the centre that group_order divides by
+    cases = [("SL", "PSL", n, q, ("A", n - 1, q)) for n, q in [(2, 5), (2, 9), (3, 4)]]
+    cases += [("SU", "PSU", 3, 2, ("2A", 2, 4)),
+              ("Sp", "PSp", 4, 3, ("C", 2, 3)),
+              ("Sp", "PSp", 4, 3, ("B", 2, 3))]
+    for universal, simple, n, q, spec in cases:
+        spec = lc.make_spec(*spec)
+        full, quotient = get_group(universal, n, q), get_group(simple, n, q)
+        assert lc.group_order(spec) == quotient.order, spec
+        assert full.order == quotient.order * lc.outdiag_order(spec), spec
 
 
 def test_out_order_vs_generic_aut(get_group):
