@@ -292,3 +292,109 @@ def test_cli_exceptions_roundtrip(tmp_path, capsys):
                            "--q0", str(q0), "--config", str(config))
     assert code == 0
     assert "family=A" in out
+
+
+_EXCEPTION_ROWS = (
+    ("family=A  d=1  Q=4  bound=0.0667191998952023  reason=level 2",
+     '{"Q": "4", "bound": 0.0667191998952023, "d": "1", "family": "A", "reason": "level 2"}'),
+) + tuple(
+    (f"family={f}  d=1  Q=4  bound=undefined  "
+     "reason=unavailable: no data-free bound below rank 3",
+     f'{{"Q": "4", "bound": null, "d": "1", "family": "{f}", '
+     '"reason": "unavailable: no data-free bound below rank 3"}')
+    for f in "BC")
+_DUMP = "# oracle dump for PSL:2:5: order 60\n# element orders: 1,2,3,5\nclassnum PSL 2 5 5\n"
+
+#: one invocation of each subcommand: (command, exit code, text stdout,
+#: JSON stdout, stderr of both, the usage line of the subcommand's --help)
+CLI_PINS = [
+    ("sym omicron --n 10", 0, "16\n", '{"omicron": "16"}\n', "",
+     "sym omicron [-h] --n N"),
+    ("sym r --n 7", 0, "3\n", '{"r": "3"}\n', "", "sym r [-h] --n N"),
+    ("sym constants --max 70 --argmax", 0, "argmax=66  value=0.986537233242447\n",
+     '{"argmax": "66", "value": 0.986537233242447}\n', "",
+     "sym constants [-h] --max MAX [--argmax]"),
+    ("lie order --family 2B2 --q 8", 0, "29120\n", '{"order": "29120"}\n', "",
+     "lie order [-h] --family FAMILY [--d D] --q Q"),
+    ("lie loglog --family A --d 1 --q 5", 0, "1.40960664642895\n",
+     '{"loglog": 1.40960664642895}\n', "",
+     "lie loglog [-h] --family FAMILY [--d D] --q Q"),
+    ("lie out --family 2B2 --q 8", 0, "3\n", '{"out": "3"}\n', "",
+     "lie out [-h] --family FAMILY [--d D] --q Q"),
+    ("lie outdiag --family E6 --q 4", 0, "3\n", '{"outdiag": "3"}\n', "",
+     "lie outdiag [-h] --family FAMILY [--d D] --q Q"),
+    ("lie coxeter --family E8", 0, "30\n", '{"coxeter": "30"}\n', "",
+     "lie coxeter [-h] --family FAMILY [--d D]"),
+    ("lie k --family C --d 2 --q 3 --level 2", 0, "17\n", '{"k_bound": "17"}\n', "",
+     "lie k [-h] --family FAMILY [--d D] --q Q [--level LEVEL]"),
+    ("lie omega-bound --family 2B2 --q 8", 0, "4\n", '{"omega_bound": "4"}\n', "",
+     "lie omega-bound [-h] --family FAMILY [--d D] --q Q [--level LEVEL]"),
+    ("lie oord-bound --family A --d 1 --q 7 --level 1", 0, "10\n",
+     '{"oord_bound": "10"}\n', "",
+     "lie oord-bound [-h] --family FAMILY [--d D] --q Q [--level LEVEL]"),
+    ("lie epsilon-omega --family 2B2 --q 8", 0,
+     "value=0.140179125709043  omega_bound=4  omicron_bound=None  "
+     "loglog_order=2.33012053917533\n",
+     '{"loglog_order": 2.33012053917533, "omega_bound": "4", "omicron_bound": "None", '
+     '"value": 0.140179125709043}\n', "",
+     "lie epsilon-omega [-h] --family FAMILY [--d D] --q Q [--level LEVEL]"),
+    ("lie epsilon-q --family A --d 1 --q 7 --levels 2,1", 0,
+     "value=0.108477264701139  omega_bound=3  omicron_bound=10  "
+     "loglog_order=1.63392835422899\n",
+     '{"loglog_order": 1.63392835422899, "omega_bound": "3", "omicron_bound": "10", '
+     '"value": 0.108477264701139}\n', "",
+     "lie epsilon-q [-h] --family FAMILY [--d D] --q Q [--levels LEVELS]"),
+    ("lie epsilon-q-fixed --family B --d 60", 3, "", "",
+     "missing data: constant oss_B_90_2\n",
+     "lie epsilon-q-fixed [-h] --family FAMILY [--d D] [--q Q]"),
+    ("lie spectrum --family A --d 2 --q 4 --semisimple", 0, "1,3,5,7\n",
+     '{"orders": ["1", "3", "5", "7"]}\n', "",
+     "lie spectrum [-h] --family FAMILY [--d D] --q Q [--semisimple]"),
+    ("survey general2 --d 12", 0, "0.0557113406227292\n",
+     '{"value": 0.0557113406227292}\n', "", "survey general2 [-h] --d D"),
+    ("survey general3 --d 10 --qsqrt-exponent 3", 0, "0.190623135949929\n",
+     '{"value": 0.190623135949929}\n', "",
+     "survey general3 [-h] --d D [--q Q] [--qsqrt-exponent QSQRT_EXPONENT]"),
+    ("survey classical1 --d 5 --type 9", 2, "", "",
+     "This type is not available. Please set the type to 1, 2, 3 or 4.\n",
+     "survey classical1 [-h] --d D --type TYPE"),
+    ("survey classical2 --d 10 --q 3", 0, "undefined\n", '{"value": null}\n', "",
+     "survey classical2 [-h] --d D --q Q"),
+    ("survey exceptions omega --q0 {q0} --config {config}", 0,
+     "".join(text + "\n" for text, _ in _EXCEPTION_ROWS),
+     "".join(obj + "\n" for _, obj in _EXCEPTION_ROWS), "",
+     "survey exceptions [-h] --q0 Q0 --config CONFIG [--strict] "
+     "{omega,q-classical,q-exceptional}"),
+    ("oracle dump --group PSL:2:5 --out -", 0, _DUMP, _DUMP, "",
+     "oracle dump [-h] --group GROUP --out OUT"),
+    ("data import --file {extra}", 0, "1\n", '{"loaded": "1"}\n', "",
+     "data import [-h] --file FILE"),
+]
+
+
+def test_cli_pins_cover_every_subcommand():
+    parser = cli.build_parser()
+    groups = parser._subparsers._group_actions[0].choices
+    names = {f"{group} {name}" for group, p in groups.items()
+             for name in p._subparsers._group_actions[0].choices}
+    assert names == {" ".join(command.split()[:2]) for command, *_ in CLI_PINS}
+    assert len(names) == 22
+
+
+@pytest.mark.parametrize("command, code, text, as_json, err, usage", CLI_PINS,
+                         ids=[" ".join(pin[0].split()[:2]) for pin in CLI_PINS])
+def test_cli_subcommand_pins(tmp_path, capsys, command, code, text, as_json, err, usage):
+    files = {"q0": "q0 1 5\n", "extra": "classnum PSL 5 2 27\n",
+             "config": "constant monster_omega 194\nconstant monster_omicron 74\n"
+                       "constant monster_order "
+                       "808017424794512875886459904961710757005754368000000000\n"}
+    for name, content in files.items():
+        (tmp_path / f"{name}.dat").write_text(content, encoding="utf-8")
+    argv = command.format(**{name: tmp_path / f"{name}.dat" for name in files}).split()
+    assert run_cli(capsys, *argv) == (code, text, err)
+    assert run_cli(capsys, "--json", *argv) == (code, as_json, err)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:2] + ["--help"])
+    assert exc.value.code == 0
+    page = capsys.readouterr().out
+    assert " ".join(page.split("\n\n")[0].split()) == f"usage: ordspectra {usage}"

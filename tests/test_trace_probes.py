@@ -75,3 +75,24 @@ def test_torus_probe_counts_tori():
     assert tracer.counts["torus_spectra.bound_tori"] == len(exponents) == 20
     assert tracer.counts["torus_spectra.union_tori"] == 20
     assert tracer.counts["torus_spectra.divisors_emitted"] == sum(map(ts._fact_tau, exponents))
+
+
+def test_cli_calls_reach_the_probes(capsys):
+    """The probes patch ``cli.main`` and the names the CLI calls through
+    its module globals; a CLI that held its own references would bypass
+    them."""
+    from ordspectra import cli
+
+    tracing = _load_tracing()
+    tracer = tracing.Tracer(time.perf_counter)
+    try:
+        tracing.install_probes(tracer)
+        assert cli.main(["lie", "order", "--family", "2B2", "--q", "8"]) == 0
+        assert cli.main(["lie", "spectrum", "--family", "A", "--d", "2", "--q", "4",
+                         "--semisimple"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == "29120\n1,3,5,7\n"
+    assert tracer.calls("cli.main") == tracer.calls("data.default_store") == 2
+    assert tracer.calls("lie_catalog.group_order") == 1
+    assert tracer.calls("torus_spectra.semisimple_orders_simple") == 1
