@@ -267,24 +267,17 @@ def prime_power_split(n: int) -> tuple[int, int] | None:
 def factored_qn_pm1(q: int, n: int, sign: int) -> dict[int, int]:
     """Factorization of q**n - 1 (sign=-1) or q**n + 1 (sign=+1).
 
-    Splits along cyclotomic polynomials first: q**n - 1 is the product of
-    Phi_d(q) over divisors d of n, and q**n + 1 = (q**2n - 1)/(q**n - 1),
-    so both reduce to factoring the much smaller cyclotomic values.
+    Splits along cyclotomic polynomials: q**n - 1 is the product of
+    Phi_d(q) over the divisors d of n, and q**n + 1 = (q**2n - 1)/(q**n - 1)
+    is the product over the divisors d of 2n that do not divide n, so both
+    reduce to factoring the much smaller cyclotomic values.
     """
     if sign not in (-1, 1):
         raise DomainError("sign must be +1 or -1")
-    if sign == 1:
-        whole = factored_qn_pm1(q, 2 * n, -1)
-        minus = factored_qn_pm1(q, n, -1)
-        out = dict(whole)
-        for p, k in minus.items():
-            out[p] -= k
-            if out[p] == 0:
-                del out[p]
-        return out
+    m = n if sign == -1 else 2 * n
     out: dict[int, int] = {}
-    for d in range(1, n + 1):
-        if n % d:
+    for d in range(1, m + 1):
+        if m % d or (sign == 1 and n % d == 0):
             continue
         for p, k in factorize(_cyclotomic_value(d, q)):
             out[p] = out.get(p, 0) + k

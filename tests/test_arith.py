@@ -121,6 +121,6 @@ def test_factorize_roundtrip():
 
 
 def test_factored_qn_pm1():
-    for q, n, sign in [(2, 10, -1), (3, 6, -1), (2, 7, 1), (5, 4, 1)]:
+    for q, n, sign in [(2, 10, -1), (3, 6, -1), (2, 7, 1), (5, 4, 1), (25, 29, 1)]:
         factors = arith.factored_qn_pm1(q, n, sign)
         assert math.prod(p**k for p, k in factors.items()) == q**n + sign

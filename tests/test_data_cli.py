@@ -346,7 +346,7 @@ CLI_PINS = [
      "lie epsilon-q [-h] --family FAMILY [--d D] --q Q [--levels LEVELS]"),
     ("lie epsilon-q-fixed --family B --d 60", 3, "", "",
      "missing data: constant oss_B_90_2\n",
-     "lie epsilon-q-fixed [-h] --family FAMILY [--d D] [--q Q]"),
+     "lie epsilon-q-fixed [-h] --family FAMILY --d D [--q Q]"),
     ("lie spectrum --family A --d 2 --q 4 --semisimple", 0, "1,3,5,7\n",
      '{"orders": ["1", "3", "5", "7"]}\n', "",
      "lie spectrum [-h] --family FAMILY [--d D] --q Q [--semisimple]"),
@@ -398,3 +398,21 @@ def test_cli_subcommand_pins(tmp_path, capsys, command, code, text, as_json, err
     assert exc.value.code == 0
     page = capsys.readouterr().out
     assert " ".join(page.split("\n\n")[0].split()) == f"usage: ordspectra {usage}"
+
+
+def test_cli_epsilon_q_fixed_needs_d(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lie", "epsilon-q-fixed", "--family", "A"])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == "error: the following arguments are required: --d"
+
+
+@pytest.mark.parametrize("argv", [["data", "import", "--file", "{missing}"],
+                                  ["--data", "{missing}", "sym", "r", "--n", "4"]])
+def test_cli_unreadable_file_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.dat"
+    code, out, err = run_cli(capsys, *(arg.format(missing=missing) for arg in argv))
+    assert (code, out) == (cli.EXIT_GENERIC, "")
+    assert err == f"[Errno 2] No such file or directory: '{missing}'\n"
