@@ -10,8 +10,7 @@ Each subcommand is one entry of ``COMMANDS``: its group and name, the
 options of its parser, and the call that makes its result rows from the
 parsed arguments and the data store.  ``build_parser`` builds every
 subparser from the table and keeps the entry's call as ``args.run``;
-``main`` loads the data, runs that call and renders its rows.  Other
-errors, a file that cannot be read or written among them, exit 1.
+``main`` loads the data, runs that call and renders its rows.
 """
 
 from __future__ import annotations
@@ -189,7 +188,8 @@ def _opt(*flags, **kwargs):
     return flags, kwargs
 
 
-_D = _opt("--d", type=int, required=True)
+_N, _D = _opt("--n", type=int, required=True), _opt("--d", type=int, required=True)
+# the rank --d is optional for a Lie family: the exceptional ones fix it
 _FAMILY, _RANK = _opt("--family", required=True), _opt("--d", type=int)
 _Q_HELP = "the field parameter Q of the family"
 _LIE = (_FAMILY, _RANK, _opt("--q", type=int, required=True, help=_Q_HELP))
@@ -200,9 +200,9 @@ _LEVEL = _LIE + (_opt("--level", type=int),)
 #: when they run, so that patching ``cli.<name>`` reaches the CLI too.
 COMMANDS = {
     "sym": {
-        "omicron": ((_opt("--n", type=int, required=True),), lambda a, s: [
+        "omicron": ((_N,), lambda a, s: [
             {"omicron": sym_partitions.nr_element_orders_sym(a.n)}]),
-        "r": ((_opt("--n", type=int, required=True),), lambda a, s: [
+        "r": ((_N,), lambda a, s: [
             {"r": sym_partitions.nr_coprime_prime_power_partitions(a.n)}]),
         "constants": ((_opt("--max", type=int, required=True),
                        _opt("--argmax", action="store_true")), _constants),
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
     except DataMissing as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DATA_MISSING
-    except (OrdspectraError, OSError) as exc:
+    except (OrdspectraError, OSError) as exc:  # OSError: a file that cannot be opened
         print(str(exc), file=sys.stderr)
         return EXIT_GENERIC
 
