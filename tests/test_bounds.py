@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import mpmath
@@ -79,6 +80,86 @@ def test_omega_bound_levels_follow_class_number_bound(store):
             else:
                 assert got[1] == want[1], (spec.family, level)
     assert values == 8
+
+
+_ONLY_2 = ("NotAvailable", messages.LEVEL_ONLY_2)
+_1_OR_2 = ("NotAvailable", messages.LEVEL_1_OR_2)
+_1_2_3 = ("NotAvailable", messages.LEVEL_1_2_OR_3)
+_A, _BC, _D = (("NotAvailable", m) for m in (messages.COMBO_A, messages.COMBO_BC,
+                                               messages.COMBO_D))
+_OOS = ("OutOfScope", "the level-3 sharply-divisible order counts are not reproduced here")
+_MISS = {sign: ("DataMissing", f"missing data: classnum Omega{sign} 8 2")
+         for sign in ("Plus", "Minus")}
+
+#: spec -> outcomes of class_number_lower_bound, nr_aut_orbits_lower and
+#: nr_element_orders_upper at levels None, 0, 1, 2, 3, 4, then of
+#: epsilon_q_lower at None, (1,1), (1,2), ..., (3,3); an epsilon outcome
+#: is (value to 12 places, omega bound, omicron bound)
+LEVEL_PINS = {
+    ("A", 1, 5): (
+        (_ONLY_2, _ONLY_2, _ONLY_2, 5, _ONLY_2, _ONLY_2),
+        (_ONLY_2, _ONLY_2, _ONLY_2, 3, _ONLY_2, _ONLY_2),
+        (_1_2_3, _1_2_3, 8, 6, _OOS, _1_2_3),
+        (_A, _A, _A, _A, (0.13896914678, 3, 8), (0.159868348661, 3, 6), _OOS, _A, _A, _A)),
+    ("2A", 2, 9): (
+        (_ONLY_2, _ONLY_2, _ONLY_2, 14, _ONLY_2, _ONLY_2),
+        (_ONLY_2, _ONLY_2, _ONLY_2, 7, _ONLY_2, _ONLY_2),
+        (_1_2_3, _1_2_3, 18, 10, _OOS, _1_2_3),
+        (_A, _A, _A, _A, (0.092072786155, 7, 18), (0.124182520407, 7, 10), _OOS,
+         _A, _A, _A)),
+    ("B", 2, 3): (
+        (_1_OR_2, _1_OR_2, 5, 20, _1_OR_2, _1_OR_2),
+        (_1_OR_2, _1_OR_2, 3, 10, _1_OR_2, _1_OR_2),
+        (_1_OR_2, _1_OR_2, 39, 12, _1_OR_2, _1_OR_2),
+        (_BC, (0.050385989166, 3, 39), (0.070889616209, 3, 12), _BC,
+         (0.071610000518, 10, 39), (0.127420064768, 10, 12), _BC, _BC, _BC, _BC)),
+    ("C", 2, 3): (
+        (_1_OR_2, _1_OR_2, 5, 17, _1_OR_2, _1_OR_2),
+        (_1_OR_2, _1_OR_2, 3, 9, _1_OR_2, _1_OR_2),
+        (_1_OR_2, _1_OR_2, 39, 12, _1_OR_2, _1_OR_2),
+        (_BC, (0.050385989166, 3, 39), (0.070889616209, 3, 12), _BC,
+         (0.068712608513, 9, 39), (0.120307628425, 9, 12), _BC, _BC, _BC, _BC)),
+    ("D", 4, 2): (
+        (_1_OR_2, _1_OR_2, 16, _MISS["Plus"], _1_OR_2, _1_OR_2),
+        (_1_OR_2, _1_OR_2, 3, _MISS["Plus"], _1_OR_2, _1_OR_2),
+        (_1_2_3, _1_2_3, 104, 24, _OOS, _1_2_3),
+        (_D, (0.034901529738, 3, 104), (0.044351014994, 3, 24), _OOS,
+         _MISS["Plus"], _MISS["Plus"], _MISS["Plus"], _D, _D, _D)),
+    ("2D", 4, 4): (
+        (_1_OR_2, _1_OR_2, 16, _MISS["Minus"], _1_OR_2, _1_OR_2),
+        (_1_OR_2, _1_OR_2, 8, _MISS["Minus"], _1_OR_2, _1_OR_2),
+        (_1_2_3, _1_2_3, 100, 32, _OOS, _1_2_3),
+        (_D, (0.039908904587, 8, 100), (0.055725103809, 8, 32), _OOS,
+         _MISS["Minus"], _MISS["Minus"], _MISS["Minus"], _D, _D, _D)),
+}
+
+
+def pinned_outcome(compute):
+    """The value, an epsilon result as (value, omega, omicron), or the
+    name and message of the exception raised."""
+    try:
+        value = compute()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, bounds.EpsilonResult):
+        return round(value.value, 12), value.omega_bound, value.omicron_bound
+    return value
+
+
+def test_level_outcome_pins(store):
+    assert {family for family, _, _ in LEVEL_PINS} == set(lc.CLASSICAL_FAMILIES)
+    levels = (None, 0, 1, 2, 3, 4)
+    pairs = (None,) + tuple(itertools.product((1, 2, 3), repeat=2))
+    for point, pins in LEVEL_PINS.items():
+        spec = lc.make_spec(*point)
+        calls = (lambda level: bounds.class_number_lower_bound(spec, level, store.class_numbers),
+                 lambda level: bounds.nr_aut_orbits_lower(spec, level, store.class_numbers),
+                 lambda level: bounds.nr_element_orders_upper(spec, level, store.spectra))
+        got = tuple(tuple(pinned_outcome(lambda: call(level)) for level in levels)
+                    for call in calls)
+        got += (tuple(pinned_outcome(lambda: bounds.epsilon_q_lower(
+            spec, pair, store.class_numbers, store.spectra)) for pair in pairs),)
+        assert got == pins, point
 
 
 def test_epsilon_omega(store):

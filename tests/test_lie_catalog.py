@@ -121,6 +121,52 @@ def test_outdiag_orders():
     assert lc.outdiag_order(lc.make_spec("2D", 3, 9)) == 4
 
 
+_OUT_QS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
+
+#: family -> (|Outdiag|, |Out|) over its grid: for each rank from the least
+#: (classical) or the fixed one, for each q of _OUT_QS, Q = q**t; the
+#: Suzuki/Ree families take Q = p, p**3, p**5, p**7
+OUT_PINS = {
+    "A": ("1 2 1 2 2 1 2 1 2 2 1 1 3 1 3 1 1 3 3 1 1 2 1 4 2 1 4 1 4 2 1 1 1 1 1 1 1 5 1 1",
+          "1 2 2 2 2 3 4 4 4 6 2 2 12 2 6 6 4 24 12 6 2 4 4 8 4 6 16 8 16 12 2 2 4 2 2 6 4 40 4 6"),
+    "2A": ("1 2 1 2 2 1 2 1 2 2 3 1 1 3 1 3 1 1 1 1 1 4 1 2 4 1 2 1 2 4 1 1 5 1 1 1 5 1 1 1",
+           "2 4 4 4 4 6 8 8 8 12 6 2 4 6 2 18 4 8 4 6 2 8 4 4 8 6 8 8 8 24 2 2 20 2 2 6 20 8 4 6"),
+    "B": ("1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2",
+          "1 2 2 2 2 3 4 4 4 6 2 2 4 2 2 6 4 8 4 6 1 2 2 2 2 3 4 4 4 6 1 2 2 2 2 3 4 4 4 6"),
+    "C": ("1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2 1 2 1 2 2",
+          "1 2 2 2 2 3 4 4 4 6 2 2 4 2 2 6 4 8 4 6 1 2 2 2 2 3 4 4 4 6 1 2 2 2 2 3 4 4 4 6"),
+    "D": ("1 4 1 4 4 1 4 1 4 4 1 2 1 4 2 1 4 1 4 2 1 4 1 4 4 1 4 1 4 4 1 2 1 4 2 1 4 1 4 2",
+          "2 8 4 8 8 6 16 8 16 24 2 4 4 8 4 6 16 8 16 12 6 24 12 24 24 18 48 24 48 72 "
+          "2 4 4 8 4 6 16 8 16 12"),
+    "2D": ("1 2 1 2 2 1 2 1 2 2 1 4 1 2 4 1 2 1 2 4 1 2 1 2 2 1 2 1 2 2 1 4 1 2 4 1 2 1 2 4",
+           "2 4 4 4 4 6 8 8 8 12 2 8 4 4 8 6 8 8 8 24 2 4 4 4 4 6 8 8 8 12 2 8 4 4 8 6 8 8 8 24"),
+    "2B2": ("1 1 1 1", "1 3 5 7"),
+    "G2": ("1 1 1 1 1 1 1 1 1 1", "1 2 2 1 1 3 4 4 2 6"),
+    "2G2": ("1 1 1 1", "1 3 5 7"),
+    "3D4": ("1 1 1 1 1 1 1 1 1 1", "3 3 6 3 3 9 6 12 6 9"),
+    "F4": ("1 1 1 1 1 1 1 1 1 1", "2 1 4 1 1 6 2 8 2 3"),
+    "2F4": ("1 1 1 1", "1 3 5 7"),
+    "E6": ("1 1 3 1 3 1 1 3 3 1", "2 2 12 2 6 6 4 24 12 6"),
+    "2E6": ("3 1 1 3 1 3 1 1 1 1", "6 2 4 6 2 18 4 8 4 6"),
+    "E7": ("1 2 1 2 2 1 2 1 2 2", "1 2 2 2 2 3 4 4 4 6"),
+    "E8": ("1 1 1 1 1 1 1 1 1 1", "1 1 2 1 1 3 2 4 2 3"),
+}
+
+
+def test_outdiag_and_out_order_pins():
+    assert set(OUT_PINS) == set(lc.FAMILIES)
+    for family, row in lc.FAMILY_TABLE.items():
+        if row.sqrt_p:
+            grid = [(None, row.sqrt_p ** (2 * k + 1)) for k in range(4)]
+        else:
+            ranks = range(row.rank, row.rank + 4) if row.classical else (None,)
+            grid = [(d, q ** row.t) for d in ranks for q in _OUT_QS]
+        specs = [lc.make_spec(family, d, Q) for d, Q in grid]
+        got = (" ".join(str(lc.outdiag_order(spec)) for spec in specs),
+               " ".join(str(lc.out_order(spec)) for spec in specs))
+        assert got == OUT_PINS[family], family
+
+
 def test_coxeter_numbers():
     assert lc.coxeter_number("A", 5) == 6
     assert lc.coxeter_number("B", 4) == 8
