@@ -1,17 +1,18 @@
 """Aut-orbit lower bounds, element-order-count upper bounds, and the
 epsilon statistics, with quality-level dispatch and frozen messages.
 
-Quality levels:
+Quality levels, read from the family's ``FAMILY_TABLE`` row:
 
-* Aut-orbit bounds: families A/2A accept only level 2; B/C/D/2D accept
-  1 and 2; the exceptional families take no level at all.
-* Element-order-count bounds: B/C accept 1 and 2; A/2A/D/2D name levels
-  1, 2 and 3, but the level-3 method (counting orders sharply divisible
-  by each power of p) is not reproduced here, so level 3 raises
-  OutOfScope rather than the message reserved for levels the interface
-  itself rejects.
-* epsilon_q bounds take a pair of levels, one for each of the two;
-  ``LEVELS`` holds the accepted levels and their messages per family.
+* Aut-orbit bounds accept the row's ``omega`` levels: only 2 for A/2A,
+  1 and 2 for B/C/D/2D; the exceptional families take no level at all.
+* Element-order-count bounds accept the row's ``omicron`` levels: 1 and
+  2 for B/C; A/2A/D/2D name levels 1, 2 and 3, but the level-3 method
+  (counting orders sharply divisible by each power of p) is not
+  reproduced here, so level 3 raises OutOfScope rather than the message
+  reserved for levels the interface itself rejects.
+* epsilon_q bounds take a pair of levels, one for each of the two, and
+  accept every pair in ``omega`` x ``omicron``.  ``messages.LEVELS`` and
+  ``messages.COMBOS`` give the refusal of a level or pair outside them.
 
 All divisions stay exact rationals until the final log-log step.
 """
@@ -42,36 +43,6 @@ from .torus_spectra import (
     nr_semisimple_orders,
     nr_semisimple_orders_bound,
 )
-
-
-@dataclass(frozen=True)
-class FamilyLevels:
-    """A classical family's accepted levels of the Aut-orbit (omega) and
-    element-order-count (omicron) bounds, and the frozen messages refusing
-    any other omicron level or epsilon_q pair.  epsilon_q takes any
-    (omega, omicron) pair.  An omega level outside the row is refused by
-    ``class_number_lower_bound``.
-    """
-
-    omega: tuple[int, ...]
-    omicron: tuple[int, ...]
-    omicron_message: str
-    epsilon_q_message: str
-
-    @property
-    def epsilon_q(self) -> tuple[tuple[int, int], ...]:
-        return tuple(itertools.product(self.omega, self.omicron))
-
-
-#: The level table of the classical families, one row per shape.
-LEVELS = {family: row for families, row in (
-    (("A", "2A"), FamilyLevels((2,), (1, 2, 3), messages.LEVEL_1_2_OR_3,
-                               messages.COMBO_A)),
-    (("B", "C"), FamilyLevels((1, 2), (1, 2), messages.LEVEL_1_OR_2,
-                              messages.COMBO_BC)),
-    (("D", "2D"), FamilyLevels((1, 2), (1, 2, 3), messages.LEVEL_1_2_OR_3,
-                               messages.COMBO_D)),
-) for family in families}
 
 
 @dataclass(frozen=True)
@@ -127,10 +98,10 @@ def nr_element_orders_upper(spec: LieSpec, level: int | None = None,
     a full spectrum return the exact count; E8 uses its semisimple count
     times (1 + ceil(log_p h)), h = 30 its Coxeter number.
     """
-    family = spec.family
-    if family in CLASSICAL_FAMILIES:
-        if level not in LEVELS[family].omicron:
-            raise NotAvailable(LEVELS[family].omicron_message)
+    family, row = spec.family, FAMILY_TABLE[spec.family]
+    if row.classical:
+        if level not in row.omicron:
+            raise NotAvailable(messages.LEVELS[row.omicron])
         if level == 3:
             raise OutOfScope(
                 "the level-3 sharply-divisible order counts are not reproduced here"
@@ -152,10 +123,10 @@ def epsilon_q_lower(spec: LieSpec, levels: tuple[int, int] | None = None,
                     spectra: SpectrumProvider | None = None) -> EpsilonResult:
     """log log (omega-bound / omicron-bound + 3) / log log |S|, with the
     quotient held as an exact rational until the logs."""
-    family = spec.family
-    if family in CLASSICAL_FAMILIES:
-        if levels is None or tuple(levels) not in LEVELS[family].epsilon_q:
-            raise NotAvailable(LEVELS[family].epsilon_q_message)
+    row = FAMILY_TABLE[spec.family]
+    if row.classical:
+        if levels is None or tuple(levels) not in itertools.product(row.omega, row.omicron):
+            raise NotAvailable(messages.COMBOS[row.omega, row.omicron])
         l1, l2 = levels
         omega = nr_aut_orbits_lower(spec, l1, provider)
         omicron = nr_element_orders_upper(spec, l2, spectra)

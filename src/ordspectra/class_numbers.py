@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import messages
 from .errors import DataMissing, DomainError, NotAvailable
-from .lie_catalog import LieSpec, outdiag_order
+from .lie_catalog import FAMILY_TABLE, LieSpec, outdiag_order
 
 #: the labels of classnum records, each followed by two integer parameters
 LABELS = {
@@ -110,15 +110,15 @@ def class_number_lower_bound(spec: LieSpec, level: int | None,
                              provider: ClassNumberProvider) -> int | Fraction:
     """Lower bound on the class number of the simple group at the given
     quality level; exact Fractions are returned when the printed formula
-    is non-integral."""
+    is non-integral.  A classical family refuses a level outside its
+    row's ``omega``."""
     family, d, q = spec.family, spec.d, spec.q
+    row = FAMILY_TABLE[family]
+    if row.classical and level not in row.omega:
+        raise NotAvailable(messages.LEVELS[row.omega])
     if family in ("A", "2A"):
-        if level != 2:
-            raise NotAvailable(messages.LEVEL_ONLY_2)
         return class_number_exact(spec, provider)
     if family in ("B", "C"):
-        if level not in (1, 2):
-            raise NotAvailable(messages.LEVEL_1_OR_2)
         if level == 1:
             return -(-q**d // math.gcd(2, q - 1))
         if family == "B":
@@ -126,8 +126,6 @@ def class_number_lower_bound(spec: LieSpec, level: int | None,
         k_sp = provider.require("Sp", 2 * d, q)
         return -(-k_sp // math.gcd(2, q - 1))
     if family in ("D", "2D"):
-        if level not in (1, 2):
-            raise NotAvailable(messages.LEVEL_1_OR_2)
         sign = 1 if family == "D" else -1
         if level == 1:
             value = Fraction(q**d, math.gcd(2, q - 1) ** 2)
@@ -152,10 +150,6 @@ def class_number_lower_bound(spec: LieSpec, level: int | None,
         label = {"E6": "InndiagE6", "2E6": "Inndiag2E6", "E7": "InndiagE7"}[family]
         k_inndiag = provider.require(label, spec.d, spec.Q)
         return -(-k_inndiag // outdiag_order(spec))
-    if family in EXACT_K_FAMILIES:
-        if level is not None:
-            raise DomainError(
-                f"family {family} has an exact class number; no levels"
-            )
-        return class_number_exact(spec, provider)
-    raise DomainError(f"unknown family {family!r}")
+    if level is not None:
+        raise DomainError(f"family {family} has an exact class number; no levels")
+    return class_number_exact(spec, provider)

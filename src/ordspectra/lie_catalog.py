@@ -10,8 +10,12 @@ half-integer exponent (p, 2f).
 
 ``FAMILY_TABLE`` holds every fact about a family once, in one ``Family``
 row: its twist, its fixed (exceptional) or least (classical) rank, the
-Suzuki/Ree prime, the order's N and signed degrees, and the Coxeter
-number of its untwisted type.  The order is the standard identity
+Suzuki/Ree prime, the order's N and signed degrees, the Coxeter number
+of its untwisted type, ``outdiag(d, q)`` = |Outdiag(S)|, ``graph(d, p)``
+the number of graph automorphisms, and ``omega`` and ``omicron``, the
+quality levels its Aut-orbit and element-order-count bounds accept
+(empty for the exceptional families, which take no level).  The order
+is the standard identity
 (Carter, *Finite Groups of Lie Type*, 1985, section 2.9)
 
     |S| = base**N * prod(base**k - e) / |Z|,  |Z| = |Outdiag(S)|,
@@ -49,14 +53,17 @@ class Family:
     N: Callable[[int], int]  # the power of base in the order
     degrees: Callable[[int], tuple[int, ...]]  # signed degrees of the order
     coxeter: Callable[[int], int]  # Coxeter number of the untwisted type
+    outdiag: Callable[[int, int | None], int] = lambda d, q: 1  # |Outdiag(S)| from (d, q)
+    graph: Callable[[int, int], int] = lambda d, p: 1  # graph automorphisms from (d, p)
+    omega: tuple[int, ...] = ()  # accepted Aut-orbit bound levels
+    omicron: tuple[int, ...] = ()  # accepted element-order-count bound levels
     sqrt_p: int | None = None  # Suzuki/Ree prime: Q = p**(2k+1), q = sqrt(Q)
     over: tuple[int, ...] = ()  # signed degrees the order is divided by
 
 
-def _fixed(t, rank, N, degrees, coxeter, sqrt_p=None, over=()):
+def _fixed(t, rank, N, degrees, coxeter, **facts):
     """An exceptional row, whose rank fixes N, degrees and Coxeter number."""
-    return Family(t, rank, False, lambda d: N, lambda d: degrees, lambda d: coxeter,
-                  sqrt_p, over)
+    return Family(t, rank, False, lambda d: N, lambda d: degrees, lambda d: coxeter, **facts)
 
 
 def _even(d):
@@ -64,27 +71,44 @@ def _even(d):
     return tuple(range(2, 2 * d + 1, 2))
 
 
+def _gcd_2(d, q):
+    """|Outdiag| of B_d, C_d and E7."""
+    return math.gcd(2, q - 1)
+
+
+#: B_d and C_d agree in every fact of a row; only p = 2 gives B_2 = C_2 a graph map
+_BC = Family(1, 1, True, lambda d: d * d, _even, lambda d: 2 * d, _gcd_2,
+             lambda d, p: 2 if d == 2 and p == 2 else 1, omega=(1, 2), omicron=(1, 2))
+
 FAMILY_TABLE = {
-    "A": Family(1, 1, True, lambda d: d * (d + 1) // 2,
-                lambda d: tuple(range(2, d + 2)), lambda d: d + 1),
+    "A": Family(1, 1, True, lambda d: d * (d + 1) // 2, lambda d: tuple(range(2, d + 2)),
+                lambda d: d + 1, lambda d, q: math.gcd(d + 1, q - 1),
+                lambda d, p: 2 if d >= 2 else 1, omega=(2,), omicron=(1, 2, 3)),
     "2A": Family(2, 1, True, lambda d: d * (d + 1) // 2,
                  lambda d: tuple(k if k % 2 == 0 else -k for k in range(2, d + 2)),
-                 lambda d: d + 1),
-    "B": Family(1, 1, True, lambda d: d * d, _even, lambda d: 2 * d),
-    "C": Family(1, 1, True, lambda d: d * d, _even, lambda d: 2 * d),
+                 lambda d: d + 1, lambda d, q: math.gcd(d + 1, q + 1), omega=(2,),
+                 omicron=(1, 2, 3)),
+    "B": _BC,
+    "C": _BC,
+    # Rank 4 has the triality graph group S3; gcd(4, q**4 - 1) already
+    # equals the Klein diagonal order gcd(2, q-1)**2 there.
     "D": Family(1, 2, True, lambda d: d * (d - 1), lambda d: _even(d - 1) + (d,),
-                lambda d: 2 * d - 2),
+                lambda d: 2 * d - 2, lambda d, q: math.gcd(4, q**d - 1),
+                lambda d, p: 6 if d == 4 else 2, omega=(1, 2), omicron=(1, 2, 3)),
     "2D": Family(2, 2, True, lambda d: d * (d - 1), lambda d: _even(d - 1) + (-d,),
-                 lambda d: 2 * d - 2),
+                 lambda d: 2 * d - 2, lambda d, q: math.gcd(4, q**d + 1), omega=(1, 2),
+                 omicron=(1, 2, 3)),
     "2B2": _fixed(2, 2, 2, (-2, 1), 4, sqrt_p=2),
-    "G2": _fixed(1, 2, 6, (6, 2), 6),
+    "G2": _fixed(1, 2, 6, (6, 2), 6, graph=lambda d, p: 2 if p == 3 else 1),
     "2G2": _fixed(2, 2, 3, (-3, 1), 6, sqrt_p=3),
     "3D4": _fixed(3, 4, 12, (12, 6, 2), 6, over=(4,)),
-    "F4": _fixed(1, 4, 24, (12, 8, 6, 2), 12),
+    "F4": _fixed(1, 4, 24, (12, 8, 6, 2), 12, graph=lambda d, p: 2 if p == 2 else 1),
     "2F4": _fixed(2, 4, 12, (-6, 4, -3, 1), 12, sqrt_p=2),
-    "E6": _fixed(1, 6, 36, (12, 9, 8, 6, 5, 2), 12),
-    "2E6": _fixed(2, 6, 36, (12, -9, 8, 6, -5, 2), 12),
-    "E7": _fixed(1, 7, 63, (18, 14, 12, 10, 8, 6, 2), 18),
+    "E6": _fixed(1, 6, 36, (12, 9, 8, 6, 5, 2), 12, outdiag=lambda d, q: math.gcd(3, q - 1),
+                 graph=lambda d, p: 2),
+    "2E6": _fixed(2, 6, 36, (12, -9, 8, 6, -5, 2), 12,
+                  outdiag=lambda d, q: math.gcd(3, q + 1)),
+    "E7": _fixed(1, 7, 63, (18, 14, 12, 10, 8, 6, 2), 18, outdiag=_gcd_2),
     "E8": _fixed(1, 8, 120, (30, 24, 20, 18, 14, 12, 8, 2), 30),
 }
 
@@ -213,45 +237,13 @@ def log_log_group_order(spec: LieSpec) -> float:
 
 def outdiag_order(spec: LieSpec) -> int:
     """Order of the diagonal-outer automorphism group."""
-    family, d, q = spec.family, spec.d, spec.q
-    if family == "A":
-        return math.gcd(d + 1, q - 1)
-    if family == "2A":
-        return math.gcd(d + 1, q + 1)
-    if family in ("B", "C", "E7"):
-        return math.gcd(2, q - 1)
-    if family == "D":
-        return math.gcd(4, q**d - 1)
-    if family == "2D":
-        return math.gcd(4, q**d + 1)
-    if family == "E6":
-        return math.gcd(3, q - 1)
-    if family == "2E6":
-        return math.gcd(3, q + 1)
-    return 1
+    return FAMILY_TABLE[spec.family].outdiag(spec.d, spec.q)
 
 
 def out_order(spec: LieSpec) -> int:
     """|Out(S)| as the product of diagonal, field and graph parts."""
-    family, d, p = spec.family, spec.d, spec.p
-    diag = outdiag_order(spec)
     field = spec.f2 * spec.t // 2  # Q = p**(f*t): the field automorphisms
-    graph = 1
-    if family == "A" and d >= 2:
-        graph = 2
-    elif family == "D":
-        # Rank 4 has the triality graph group S3; gcd(4, q**4 - 1) already
-        # equals the Klein diagonal order gcd(2, q-1)**2 there.
-        graph = 6 if d == 4 else 2
-    elif family == "E6":
-        graph = 2
-    elif family in ("B", "C") and d == 2 and p == 2:
-        graph = 2
-    elif family == "G2" and p == 3:
-        graph = 2
-    elif family == "F4" and p == 2:
-        graph = 2
-    return diag * field * graph
+    return outdiag_order(spec) * field * FAMILY_TABLE[spec.family].graph(spec.d, spec.p)
 
 
 def coxeter_number(family: str, d: int | None = None) -> int:

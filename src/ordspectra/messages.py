@@ -25,4 +25,11 @@ COMBO_D = (
     "Please set the quality levels to (1,1), (1,2), (1,3), (2,1), (2,2) or (2,3)."
 )
 
+#: the refusal of a level outside each tuple of accepted levels
+LEVELS = {(2,): LEVEL_ONLY_2, (1, 2): LEVEL_1_OR_2, (1, 2, 3): LEVEL_1_2_OR_3}
+
+#: the refusal of a pair outside each (omega levels, omicron levels) product
+COMBOS = {((2,), (1, 2, 3)): COMBO_A, ((1, 2), (1, 2)): COMBO_BC,
+          ((1, 2), (1, 2, 3)): COMBO_D}
+
 TYPE_1_2_3_OR_4 = "This type is not available. Please set the type to 1, 2, 3 or 4."

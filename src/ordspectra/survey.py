@@ -304,7 +304,7 @@ def _best_epsilon_omega(spec: LieSpec, provider: ClassNumberProvider):
     if spec.family in EXCEPTIONAL_RANK:
         return None, "no data"
     for level in (2, 1):
-        if level not in bounds.LEVELS[spec.family].omega:
+        if level not in FAMILY_TABLE[spec.family].omega:
             continue
         try:
             return bounds.epsilon_omega_lower(spec, level, provider).value, f"level {level}"
@@ -341,8 +341,9 @@ def exceptions_omega(q0: Q0Table, thresholds: ThresholdConfig,
 
 
 def _best_epsilon_q_classical(spec: LieSpec, provider, spectra):
+    row = FAMILY_TABLE[spec.family]
     for pair in ((2, 2), (2, 1), (1, 1)):
-        if pair not in bounds.LEVELS[spec.family].epsilon_q:
+        if pair[0] not in row.omega or pair[1] not in row.omicron:
             continue
         try:
             return bounds.epsilon_q_lower(spec, pair, provider, spectra).value, f"levels {pair}"

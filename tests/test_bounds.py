@@ -38,6 +38,15 @@ def test_message_table_is_frozen():
     )
 
 
+def test_every_row_level_tuple_has_its_message():
+    for family, row in lc.FAMILY_TABLE.items():
+        if not row.classical:
+            assert row.omega == row.omicron == (), family
+            continue
+        assert row.omega in messages.LEVELS and row.omicron in messages.LEVELS, family
+        assert (row.omega, row.omicron) in messages.COMBOS, family
+
+
 def test_omega_bound_values(store):
     assert bounds.nr_aut_orbits_lower(
         lc.make_spec("A", 1, 5), 2, store.class_numbers) == 3
