@@ -16,8 +16,10 @@ subparser from the table and keeps the entry's call as ``args.run``;
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import bounds, survey, sym_partitions
@@ -96,8 +98,8 @@ def _parse_levels(text: str) -> tuple[int, int]:
 
 
 def _epsilon_rows(result) -> list[dict]:
-    return [{"value": result.value, "omega_bound": result.omega_bound,
-             "omicron_bound": result.omicron_bound, "loglog_order": result.loglog_order}]
+    """The fields of an EpsilonResult, less those it lacks (None)."""
+    return [{k: v for k, v in dataclasses.asdict(result).items() if v is not None}]
 
 
 def _constants(args, store) -> list[dict]:
@@ -277,13 +279,23 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.precision < 0:
+        parser.error(f"argument --precision: must be >= 0, not {args.precision}")
     try:
-        store = default_store(seed=not args.no_seed)
-        for path in args.data:
-            load_data(path, store)
-        _emit(args.run(args, store), args)
+        with warnings.catch_warnings():  # a library warning is one stderr line
+            warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
+            store = default_store(seed=not args.no_seed)
+            for path in args.data:
+                load_data(path, store)
+            _emit(args.run(args, store), args)
         return EXIT_OK
     except (NotAvailable, OutOfScope) as exc:
         print(str(exc), file=sys.stderr)

@@ -271,12 +271,20 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     it needs.  SO, Omega and POmega are not closed from GO: they are the
     kernel of a map GO -> (Z/2)^2 read off each recipe matrix
     (``_character``), generated by its Schreier generators (``_kernel``).
-    Raises CapExceeded when the order polynomial exceeds ``cap``; raises
+    Raises DomainError before any work when n < 1 or n has the wrong
+    parity (even for Sp, PSp and the plus/minus kinds, odd for GO, SO and
+    Omega); CapExceeded when the order polynomial exceeds ``cap``; and
     DomainError if the closure does not reach the expected order (a
     construction bug, never a silent approximation).
     """
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}")
+    if n < 1:
+        raise DomainError(f"dimension n must be >= 1; got {n}")
+    if (kind in ("Sp", "PSp") or kind.endswith(("plus", "minus"))) and n % 2:
+        raise DomainError(f"{kind} needs an even dimension; got {n}")
+    if kind in ("GO", "SO", "Omega") and n % 2 == 0:
+        raise DomainError("even dimension needs a plus/minus kind")
     target = expected_order(kind, n, q)
     if target > cap:
         raise CapExceeded(target, cap)
@@ -303,12 +311,8 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     elif kind in ("GU", "SU", "PSU"):
         mats = _unitary_gens(F, n, special=kind != "GU")
     elif kind in ("Sp", "PSp"):
-        if n % 2:
-            raise DomainError("symplectic groups need even dimension")
         mats = _sp_gens(F, n)
     else:
-        if n % 2 == 0 and kind in ("GO", "SO", "Omega"):
-            raise DomainError("even dimension needs a plus/minus kind")
         if n % 2 == 1 and q % 2 == 0:
             raise DomainError(
                 "odd-dimensional orthogonal groups over even q coincide "

@@ -1,5 +1,6 @@
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,37 @@ def test_cli_precision_flag(capsys):
     assert len(out.strip()) <= 6  # e.g. "1.41"
 
 
+def test_cli_negative_precision_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--precision", "-1", "lie", "loglog", "--family", "A", "--d", "1",
+                  "--q", "5"])
+    assert exc.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: argument --precision: must be >= 0, not -1"
+
+
+def test_cli_library_warning_is_one_stderr_line(capsys):
+    # under an "error" filter as under python -W error: still no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "lie", "epsilon-q-fixed", "--family", "A", "--d", "3")
+    assert (code, out) == (cli.EXIT_DATA_MISSING, "")
+    assert err == ("warning: d = 3 is outside the intended range 54..90\n"
+                   "missing data: constant oss_A_90_2\n")
+
+
+@pytest.mark.parametrize("group, message", [
+    ("GL:0:3", "dimension n must be >= 1; got 0"),
+    ("Sp:0:3", "dimension n must be >= 1; got 0"),
+    ("GOplus:3:3", "GOplus needs an even dimension; got 3"),
+    ("Omegaminus:5:3", "Omegaminus needs an even dimension; got 5"),
+])
+def test_cli_oracle_dump_refuses_a_wrong_dimension(capsys, group, message):
+    assert run_cli(capsys, "oracle", "dump", "--group", group, "--out", "-") == (
+        cli.EXIT_GENERIC, "", message + "\n")
+
+
 def test_cli_data_import(tmp_path, capsys):
     path = tmp_path / "extra.dat"
     path.write_text("classnum PSL 5 2 27\n", encoding="utf-8")
@@ -333,9 +365,8 @@ CLI_PINS = [
      '{"oord_bound": "10"}\n', "",
      "lie oord-bound [-h] --family FAMILY [--d D] --q Q [--level LEVEL]"),
     ("lie epsilon-omega --family 2B2 --q 8", 0,
-     "value=0.140179125709043  omega_bound=4  omicron_bound=None  "
-     "loglog_order=2.33012053917533\n",
-     '{"loglog_order": 2.33012053917533, "omega_bound": "4", "omicron_bound": "None", '
+     "value=0.140179125709043  omega_bound=4  loglog_order=2.33012053917533\n",
+     '{"loglog_order": 2.33012053917533, "omega_bound": "4", '
      '"value": 0.140179125709043}\n', "",
      "lie epsilon-omega [-h] --family FAMILY [--d D] --q Q [--level LEVEL]"),
     ("lie epsilon-q --family A --d 1 --q 7 --levels 2,1", 0,

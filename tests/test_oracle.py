@@ -142,6 +142,29 @@ def test_duality_is_an_automorphism(get_group):
                for a in G.elements for b in G.elements)
 
 
+@pytest.mark.parametrize("kind, n, message", [
+    ("GL", 0, "dimension n must be >= 1; got 0"),
+    ("GL", -1, "dimension n must be >= 1; got -1"),
+    ("Sp", 0, "dimension n must be >= 1; got 0"),
+    ("Sp", 3, "Sp needs an even dimension; got 3"),
+    ("PSp", 5, "PSp needs an even dimension; got 5"),
+    ("GOplus", 3, "GOplus needs an even dimension; got 3"),
+    ("Omegaminus", 5, "Omegaminus needs an even dimension; got 5"),
+    ("GO", 2, "even dimension needs a plus/minus kind"),
+    ("Omega", 4, "even dimension needs a plus/minus kind"),
+])
+def test_dimension_refused_before_any_work(kind, n, message):
+    # cap=1: a refusal that came after the order check would be CapExceeded
+    with pytest.raises(DomainError) as err:
+        oracle.build_classical(kind, n, 3, cap=1)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind, n, order", [("GOplus", 2, 4), ("GO", 1, 2), ("Sp", 2, 24)])
+def test_smallest_dimensions_build(get_group, kind, n, order):
+    assert get_group(kind, n, 3).order == order
+
+
 def test_cap_exceeded():
     with pytest.raises(CapExceeded) as err:
         oracle.build_classical("Sp", 4, 3, cap=10_000)
