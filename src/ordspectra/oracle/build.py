@@ -271,9 +271,9 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     it needs.  SO, Omega and POmega are not closed from GO: they are the
     kernel of a map GO -> (Z/2)^2 read off each recipe matrix
     (``_character``), generated by its Schreier generators (``_kernel``).
-    Raises DomainError before any work when n < 1 or n has the wrong
-    parity (even for Sp, PSp and the plus/minus kinds, odd for GO, SO and
-    Omega); CapExceeded when the order polynomial exceeds ``cap``; and
+    Raises DomainError before any work when n < 1, n has the wrong parity
+    (even for Sp, PSp and the plus/minus kinds, odd for GO, SO and Omega)
+    or q is not a prime power; CapExceeded when the order polynomial exceeds ``cap``; and
     DomainError if the closure does not reach the expected order (a
     construction bug, never a silent approximation).
     """
@@ -285,10 +285,10 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
         raise DomainError(f"{kind} needs an even dimension; got {n}")
     if kind in ("GO", "SO", "Omega") and n % 2 == 0:
         raise DomainError("even dimension needs a plus/minus kind")
+    F = _field_for(kind, q)
     target = expected_order(kind, n, q)
     if target > cap:
         raise CapExceeded(target, cap)
-    F = _field_for(kind, q)
     projective = kind in ("PSL", "PSU", "PSp", "POmegaplus", "POmegaminus")
     points = projective_points(F, n) if projective else all_vectors(F, n)
     meta = {"kind": kind, "n": n, "q": q, "field": F,

@@ -239,8 +239,9 @@ def test_cli_library_warning_is_one_stderr_line(capsys):
     ("Sp:0:3", "dimension n must be >= 1; got 0"),
     ("GOplus:3:3", "GOplus needs an even dimension; got 3"),
     ("Omegaminus:5:3", "Omegaminus needs an even dimension; got 5"),
+    ("PSL:2:1", "1 is not a prime power"),
 ])
-def test_cli_oracle_dump_refuses_a_wrong_dimension(capsys, group, message):
+def test_cli_oracle_dump_refuses_a_wrong_dimension_or_field(capsys, group, message):
     assert run_cli(capsys, "oracle", "dump", "--group", group, "--out", "-") == (
         cli.EXIT_GENERIC, "", message + "\n")
 
