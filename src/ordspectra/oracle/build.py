@@ -273,9 +273,9 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     (``_character``), generated by its Schreier generators (``_kernel``).
     Raises DomainError before any work when n < 1, n has the wrong parity
     (even for Sp, PSp and the plus/minus kinds, odd for GO, SO and Omega)
-    or q is not a prime power; CapExceeded when the order polynomial exceeds ``cap``; and
-    DomainError if the closure does not reach the expected order (a
-    construction bug, never a silent approximation).
+    or q is not a prime power; CapExceeded when the order polynomial
+    exceeds ``cap``; and DomainError if the closure does not reach the
+    expected order (a construction bug, never a silent approximation).
     """
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}")
