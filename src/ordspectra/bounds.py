@@ -19,7 +19,6 @@ All divisions stay exact rationals until the final log-log step.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -125,7 +124,7 @@ def epsilon_q_lower(spec: LieSpec, levels: tuple[int, int] | None = None,
     quotient held as an exact rational until the logs."""
     row = FAMILY_TABLE[spec.family]
     if row.classical:
-        if levels is None or tuple(levels) not in itertools.product(row.omega, row.omicron):
+        if levels is None or levels[0] not in row.omega or levels[1] not in row.omicron:
             raise NotAvailable(messages.COMBOS[row.omega, row.omicron])
         l1, l2 = levels
         omega = nr_aut_orbits_lower(spec, l1, provider)

@@ -290,7 +290,7 @@ def main(argv=None) -> int:
         parser.error(f"argument --precision: must be >= 0, not {args.precision}")
     try:
         with warnings.catch_warnings():  # a library warning is one stderr line
-            warnings.simplefilter("always")
+            warnings.filterwarnings("always", module=r"ordspectra\.")
             warnings.showwarning = _show_warning
             store = default_store(seed=not args.no_seed)
             for path in args.data:

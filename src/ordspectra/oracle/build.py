@@ -285,10 +285,12 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
         raise DomainError(f"{kind} needs an even dimension; got {n}")
     if kind in ("GO", "SO", "Omega") and n % 2 == 0:
         raise DomainError("even dimension needs a plus/minus kind")
-    F = _field_for(kind, q)
+    if arith.prime_power_split(q) is None:
+        raise DomainError(f"{q} is not a prime power")
     target = expected_order(kind, n, q)
     if target > cap:
         raise CapExceeded(target, cap)
+    F = _field_for(kind, q)
     projective = kind in ("PSL", "PSU", "PSp", "POmegaplus", "POmegaminus")
     points = projective_points(F, n) if projective else all_vectors(F, n)
     meta = {"kind": kind, "n": n, "q": q, "field": F,
@@ -382,10 +384,7 @@ def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
 
 
 def _field_for(kind: str, q: int) -> Fq:
-    split = arith.prime_power_split(q)
-    if split is None:
-        raise DomainError(f"{q} is not a prime power")
-    p, e = split
+    p, e = arith.prime_power_split(q)
     if kind in ("GU", "SU", "PSU"):
         return get_field(p, 2 * e)
     return get_field(p, e)

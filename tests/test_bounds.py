@@ -64,10 +64,15 @@ def test_omega_bound_messages(store):
 
 
 def outcome(compute):
+    """("value", the value) or (the exception type, its message); an
+    epsilon result is the value as (value to 12 places, omega, omicron)."""
     try:
-        return "value", compute()
+        value = compute()
     except Exception as exc:
         return type(exc), str(exc)
+    if isinstance(value, bounds.EpsilonResult):
+        return "value", (round(value.value, 12), value.omega_bound, value.omicron_bound)
+    return "value", value
 
 
 def test_omega_bound_levels_follow_class_number_bound(store):
@@ -143,18 +148,6 @@ LEVEL_PINS = {
 }
 
 
-def pinned_outcome(compute):
-    """The value, an epsilon result as (value, omega, omicron), or the
-    name and message of the exception raised."""
-    try:
-        value = compute()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    if isinstance(value, bounds.EpsilonResult):
-        return round(value.value, 12), value.omega_bound, value.omicron_bound
-    return value
-
-
 def test_level_outcome_pins(store):
     assert {family for family, _, _ in LEVEL_PINS} == set(lc.CLASSICAL_FAMILIES)
     levels = (None, 0, 1, 2, 3, 4)
@@ -164,10 +157,11 @@ def test_level_outcome_pins(store):
         calls = (lambda level: bounds.class_number_lower_bound(spec, level, store.class_numbers),
                  lambda level: bounds.nr_aut_orbits_lower(spec, level, store.class_numbers),
                  lambda level: bounds.nr_element_orders_upper(spec, level, store.spectra))
-        got = tuple(tuple(pinned_outcome(lambda: call(level)) for level in levels)
-                    for call in calls)
-        got += (tuple(pinned_outcome(lambda: bounds.epsilon_q_lower(
-            spec, pair, store.class_numbers, store.spectra)) for pair in pairs),)
+        got = [[outcome(lambda: call(level)) for level in levels] for call in calls]
+        got.append([outcome(lambda: bounds.epsilon_q_lower(
+            spec, pair, store.class_numbers, store.spectra)) for pair in pairs])
+        got = tuple(tuple(value if kind == "value" else (kind.__name__, value)
+                          for kind, value in row) for row in got)
         assert got == pins, point
 
 

@@ -240,8 +240,9 @@ def test_cli_library_warning_is_one_stderr_line(capsys):
     ("GOplus:3:3", "GOplus needs an even dimension; got 3"),
     ("Omegaminus:5:3", "Omegaminus needs an even dimension; got 5"),
     ("PSL:2:1", "1 is not a prime power"),
+    ("SL:2:10007", "group order 1002101460336 exceeds cap 10000000"),
 ])
-def test_cli_oracle_dump_refuses_a_wrong_dimension_or_field(capsys, group, message):
+def test_cli_oracle_dump_refuses_before_any_work(capsys, group, message):
     assert run_cli(capsys, "oracle", "dump", "--group", group, "--out", "-") == (
         cli.EXIT_GENERIC, "", message + "\n")
 

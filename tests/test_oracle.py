@@ -171,6 +171,13 @@ def test_cap_exceeded():
     assert err.value.order == 51840
 
 
+@pytest.mark.parametrize("kind, n, q", [("SL", 2, 10007), ("GL", 3, 65537), ("PSL", 2, 3**7)])
+def test_cap_checked_before_the_field_is_built(kind, n, q):
+    # the q x q field tables alone would take minutes; q = 3**7 has no field
+    with pytest.raises(CapExceeded):
+        oracle.build_classical(kind, n, q)
+
+
 def test_conjugacy_count_bounds():
     c12 = oracle.build_cyclic(12)
     assert c12.conjugacy_class_count() == 12  # abelian: every class a singleton
