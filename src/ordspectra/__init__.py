@@ -5,7 +5,6 @@ epsilon statistics of finite simple groups of Lie type."""
 from .arith import (
     ceil_log,
     factorize,
-    floor_log,
     lcm_list,
     log_log,
     nr_divisors,

@@ -173,18 +173,6 @@ def lcm_list(values) -> int:
 # integer logarithms (exact powering, no floats)
 
 
-def floor_log(base: int, n: int) -> int:
-    """Largest e with base**e <= n (base >= 2, n >= 1)."""
-    if base < 2 or n < 1:
-        raise DomainError("floor_log requires base >= 2 and n >= 1")
-    e = 0
-    power = base
-    while power <= n:
-        e += 1
-        power *= base
-    return e
-
-
 def ceil_log(base: int, n: int) -> int:
     """Smallest e with base**e >= n (base >= 2, n >= 1)."""
     if base < 2 or n < 1:

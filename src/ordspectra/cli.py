@@ -10,13 +10,15 @@ Each subcommand is one entry of ``COMMANDS``: its group and name, the
 options of its parser, and the call that makes its result rows from the
 parsed arguments and the data store.  ``build_parser`` builds every
 subparser from the table and keeps the entry's call as ``args.run``;
-``main`` loads the data, runs that call and renders its rows.
+``main`` builds that parser once per process, on its first call, then
+loads the data, runs that call and renders its rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import warnings
@@ -168,7 +170,7 @@ def _oracle_dump(args, store) -> list[dict]:
     k = group.conjugacy_class_count()
     orders = group.element_orders()
     label = {"Omegaplus": "OmegaPlus", "Omegaminus": "OmegaMinus"}.get(kind, kind)
-    if kind == "Omega" and n % 2 == 1:
+    if kind == "Omega" and n > 1:  # Omega_(2d+1) is B_d; Omega_1, trivial, has no rank
         label, n = "B", n // 2
     lines = [f"# oracle dump for {args.group}: order {group.order}",
              f"# element orders: {','.join(str(v) for v in orders.values)}"]
@@ -279,12 +281,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+#: the parser of ``main``, built on its first call and kept for the
+#: process: a parser keeps no state from one ``parse_args`` to the next
+_shared_parser = functools.cache(build_parser)
+
+
 def _show_warning(message, *_):
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if args.precision < 0:
         parser.error(f"argument --precision: must be >= 0, not {args.precision}")

@@ -70,7 +70,8 @@ def expected_order(kind: str, n: int, q: int) -> int:
             return 2 * so
         if kind == "SO":
             return so
-        return so // math.gcd(2, q - 1)
+        # Omega_1(q) = SO_1(q) is trivial
+        return so // math.gcd(2, q - 1) if m else so
     sign = 1 if kind.endswith("plus") else -1
     base = kind[: -4 if sign == 1 else -5]
     m = n // 2

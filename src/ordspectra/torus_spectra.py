@@ -56,9 +56,15 @@ bound sums the divisor count of every torus instead, without listing
 the tori: a forward dynamic program over the block kinds
 (``_tau_lcm_sum``) sums tau(lcm), merging the partial tori that agree
 on the size still to fill and on the lcm's exponents at the primes a
-later kind can still raise; the tori with one or two blocks (``_tori``
-cut to two blocks) then trade tau(lcm) for the divisor count of their
-simple-group exponent.
+later kind can still raise.  It returns the pair (even, odd), the sums
+over the tori with an even and an odd number of +1 blocks: every +1
+kind flips the pair, which only moves a torus from one sum to the
+other, so even + odd is the sum over every torus.  D reads the even
+half, 2D the odd half and A, 2A, B and C the sum, so one pass, cached
+per process by model size, signs and q (``_level_one_pass``), serves
+B_d(q), C_d(q), D_d(q) and 2D_d(q**2).  The tori with one or two blocks
+(``_tori`` cut to two blocks) then trade tau(lcm) for the divisor count
+of their simple-group exponent, per family.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -167,20 +173,20 @@ def _factored_pm1(q: int, n: int, sign: int) -> tuple[tuple[int, int], ...]:
 # the torus model
 
 
-def _block_model(family: str, d: int) -> tuple[int, list[tuple[int, ...]], int | None]:
+def _block_model(family: str, d: int) -> tuple[int, tuple[tuple[int, ...], ...], int | None]:
     """(size, signs, parity): the model of the tori of a classical family
     at rank d.  Block sizes sum to ``size``, ``signs[a]`` are the signs a
     block of size a can take, and the number of +1 blocks has ``parity``
     mod 2 (None: any)."""
     if family in ("A", "2A"):
         twisted = family == "2A"
-        return d + 1, [(1 if twisted and a % 2 else -1,) for a in range(d + 2)], None
+        return d + 1, tuple((1 if twisted and a % 2 else -1,) for a in range(d + 2)), None
     if family in ("B", "C", "D", "2D"):
-        return d, [(-1, 1)] * (d + 1), {"D": 0, "2D": 1}.get(family)
+        return d, ((-1, 1),) * (d + 1), {"D": 0, "2D": 1}.get(family)
     raise DomainError(f"{family} is not a classical family")
 
 
-def _tori(size: int, q: int, signs: list[tuple[int, ...]], parity: int | None,
+def _tori(size: int, q: int, signs: tuple[tuple[int, ...], ...], parity: int | None,
           most: int | None = None, distinct: bool = False
           ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
     """(torus, lcm(q**a + s) over its blocks (a, s)) for every torus of the
@@ -436,13 +442,14 @@ def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
 _plus_one = (1).__add__
 
 
-def _tau_lcm_sum(size: int, kinds: list[tuple[int, bool, Factored]], parity: int | None) -> int:
-    """Sum of tau(lcm) over every torus of size ``size`` whose number of
-    +1 blocks has ``parity`` mod 2 (None: any), tau(lcm) being the
-    divisor count of the lcm of its factors.  ``kinds`` lists the blocks
-    in descending size, each as (a, flips, factored q**a + s), where
-    flips says that the block is +1 under a ``parity``; a torus takes
-    j >= 0 copies of each kind.
+def _tau_lcm_sum(size: int, kinds: list[tuple[int, int, Factored]]) -> tuple[int, int]:
+    """(even, odd): the sums of tau(lcm) over the tori of size ``size``
+    with an even and with an odd number of +1 blocks, tau(lcm) being the
+    divisor count of the lcm of their factors.  ``kinds`` lists the
+    blocks in descending size, each as (a, s, factored q**a + s); a torus
+    takes j >= 0 copies of each kind.  Every +1 kind flips the pair: a
+    flip only moves a torus from one sum to the other, so even + odd is
+    the sum over every torus whichever kinds flip.
 
     A forward dynamic program over the kinds.  A state is a prefix of
     the kinds with its multiplicities fixed, reduced to (rest, the
@@ -495,12 +502,12 @@ def _tau_lcm_sum(size: int, kinds: list[tuple[int, bool, Factored]], parity: int
     filed: list[dict[tuple[int, bytes], list[int]]] = [{} for _ in kinds]
     filed[0][size, bytes(live[0])] = [1, 0]
     done = [0, 0]
-    for i, (a, flips, _) in enumerate(kinds):
+    for i, (a, s, _) in enumerate(kinds):
         for (rest, exponents), (even, odd) in filed[i].items():
             raised = bytes(map(max, exponents, raise_by[i]))
             for j in range(rest // a + 1):
                 left, vector = rest - j * a, raised if j else exponents
-                e, o = (odd, even) if flips and j % 2 else (even, odd)
+                e, o = (odd, even) if s == 1 and j % 2 else (even, odd)
                 if left == 0:
                     tau = math.prod(map(_plus_one, vector))
                     done[0] += e * tau
@@ -517,7 +524,16 @@ def _tau_lcm_sum(size: int, kinds: list[tuple[int, bool, Factored]], parity: int
                 weight[0] += e
                 weight[1] += o
         filed[i] = {}
-    return done[0] + done[1] if parity is None else done[parity]
+    return done[0], done[1]
+
+
+@lru_cache(maxsize=None)
+def _level_one_pass(size: int, signs: tuple[tuple[int, ...], ...], q: int) -> tuple[int, int]:
+    """``_tau_lcm_sum`` over the blocks of a model at q, once per process:
+    B_d(q), C_d(q), D_d(q) and 2D_d(q**2) share the model and q, and each
+    reads its half of the pair or the sum."""
+    return _tau_lcm_sum(size, [(a, s, dict(_factored_pm1(q, a, s)))
+                               for a in range(size, 0, -1) for s in signs[a]])
 
 
 class _DivisorUnion:
@@ -654,17 +670,18 @@ def nr_semisimple_orders(spec: LieSpec) -> int:
 
 def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     """Upper bound: per-torus divisor counts are summed instead of
-    materializing the union (quality level 1).  ``_tau_lcm_sum`` sums
-    tau(lcm) over every torus without listing them; the lcm is the
-    simple-group exponent from three blocks on, so each torus with one
-    or two blocks then trades tau(lcm) for tau(its exponent)."""
+    materializing the union (quality level 1).  ``_level_one_pass`` sums
+    tau(lcm) over every torus without listing them, split by the parity
+    of the number of +1 blocks, and the family reads its half or the
+    total; the lcm is the simple-group exponent from three blocks on, so
+    each torus with one or two blocks then trades tau(lcm) for tau(its
+    exponent)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
     size, signs, parity = _block_model(spec.family, spec.d)
     q = spec.q
-    kinds = [(a, parity is not None and s == 1, dict(_factored_pm1(q, a, s)))
-             for a in range(size, 0, -1) for s in signs[a]]
-    total = _tau_lcm_sum(size, kinds, parity)
+    pair = _level_one_pass(size, signs, q)
+    total = sum(pair) if parity is None else pair[parity]
     for torus, _ in _tori(size, q, signs, parity, most=2):
         total += _fact_tau(_torus_exponent(spec, torus)) - _fact_tau(_support_lcm(q, torus))
     return total

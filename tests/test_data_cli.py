@@ -130,6 +130,23 @@ def test_cli_usage_exit_code(capsys):
     assert exc.value.code == 64
 
 
+def test_cli_builds_its_parser_once(tmp_path, capsys):
+    """``main`` builds the parser on its first call and keeps it; a usage
+    error leaves it as it was, and each call starts from the defaults (a
+    ``--data`` list carried over would load the file twice)."""
+    cli._shared_parser.cache_clear()
+    extra = tmp_path / "extra.dat"
+    extra.write_text("classnum PSL 5 2 27\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lie"])
+    assert exc.value.code == cli.EXIT_USAGE
+    capsys.readouterr()
+    for _ in range(2):
+        assert run_cli(capsys, "--data", str(extra), "sym", "omicron", "--n", "10") == (
+            0, "16\n", "")
+    assert cli._shared_parser.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("levels", ["x,1", "1", "1,2,3"])
 def test_cli_malformed_levels_is_usage_error(capsys, levels):
     with pytest.raises(SystemExit) as exc:

@@ -338,6 +338,7 @@ def test_expected_orders():
     assert oracle.expected_order("PSU", 3, 3) == 6048
     assert oracle.expected_order("POmegaplus", 6, 2) == 20160
     assert oracle.expected_order("POmegaminus", 6, 2) == 25920
+    assert oracle.expected_order("Omega", 1, 3) == 1
     assert oracle.expected_order("Omegaminus", 4, 3) == 360
 
 

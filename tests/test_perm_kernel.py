@@ -176,7 +176,11 @@ def test_element_orders_read_one_order_per_class(monkeypatch):
     ("GU:3:2", "# oracle dump for GU:3:2: order 648\n"
                "# element orders: 1,2,3,4,6,9,12\n"
                "# class number 24 (no classnum label for GU)\n"),
-], ids=["PSL:1:5", "PSL:2:5", "GU:3:2"])
+    # Omega_1(q) is trivial, and B_0 is no classnum row
+    ("Omega:1:3", "# oracle dump for Omega:1:3: order 1\n"
+                  "# element orders: 1\n"
+                  "# class number 1 (no classnum label for Omega)\n"),
+], ids=["PSL:1:5", "PSL:2:5", "GU:3:2", "Omega:1:3"])
 def test_cli_oracle_dump_is_pinned(capsys, spec, text):
     assert cli.main(["oracle", "dump", "--group", spec, "--out", "-"]) == 0
     assert capsys.readouterr().out == text

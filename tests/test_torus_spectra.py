@@ -539,12 +539,35 @@ def test_bound_matches_support_walk(family):
 def test_tau_lcm_sum_refuses_exponents_past_a_byte():
     """An exponent that a byte cannot hold raises a typed error naming
     the prime and the exponent; one that fits is summed."""
-    kinds = [(2, False, {3: 256}), (1, False, {2: 1})]
+    kinds = [(2, -1, {3: 256}), (1, -1, {2: 1})]
     with pytest.raises(CapacityError, match="exponent 256 of the prime 3"):
-        ts._tau_lcm_sum(2, kinds, None)
+        ts._tau_lcm_sum(2, kinds)
     # tori (2) and (1, 1): tau(3**255) + tau(2)
-    kinds[0] = (2, False, {3: 255})
-    assert ts._tau_lcm_sum(2, kinds, None) == 256 + 2
+    kinds[0] = (2, -1, {3: 255})
+    assert sum(ts._tau_lcm_sum(2, kinds)) == 256 + 2
+
+
+def test_level_one_pass_is_shared():
+    """B_d(q), C_d(q), D_d(q) and 2D_d(q**2) read one cached pass, and each
+    bound is the per-torus sum whatever the cache held before it."""
+    specs = [lc.make_spec(family, 6, twisted_q(family, 3)) for family in ("B", "C", "D", "2D")]
+    want = [sum(map(ts._fact_tau, ts._simple_torus_exponents(spec))) for spec in specs]
+    ts._level_one_pass.cache_clear()
+    assert [ts.nr_semisimple_orders_bound(spec) for spec in specs] == want
+    assert ts._level_one_pass.cache_info().misses == 1
+    ts._level_one_pass.cache_clear()
+    assert [ts.nr_semisimple_orders_bound(spec) for spec in reversed(specs)] == want[::-1]
+    for spec, bound in zip(specs, want):
+        ts._level_one_pass.cache_clear()
+        assert ts.nr_semisimple_orders_bound(spec) == bound
+
+
+def test_b_equals_c_level_one():
+    """B_d(q) and C_d(q) share the pass and the one- and two-block exponents."""
+    for q in (2, 3, 4, 5):
+        for d in range(1, 17):
+            b = ts.nr_semisimple_orders_bound(lc.make_spec("B", d, q))
+            assert ts.nr_semisimple_orders_bound(lc.make_spec("C", d, q)) == b, (d, q)
 
 
 @pytest.mark.parametrize("family", ["A", "2A", "B", "C", "D", "2D"])
