@@ -3,10 +3,10 @@
 Groups are realized as permutation groups: a matrix group acts
 faithfully on the nonzero vectors of its natural module, and projective
 quotients act on normalized projective points (first nonzero coordinate
-scaled to 1).  Closures adjoin the generators one at a time by
-breadth-first products, so the elements and the generators kept are
-deterministic.  Class representatives follow set order, which moves with
-the hash seed of ``bytes``; no result depends on which one is picked.
+scaled to 1).  Closures adjoin the generators one at a time by coset
+enumeration, so the elements and the generators kept are deterministic.
+Class representatives follow set order, which moves with the hash seed
+of ``bytes``; no result depends on which one is picked.
 
 A permutation is the ``bytes`` of images of 0..degree-1, and products
 read left to right: ``perm_compose(a, b)`` applies a first, then b, so
@@ -291,13 +291,19 @@ class SmallGroup:
 
 
 def close_under_products(gens, degree: int, limit: int | None = None):
-    """Incremental closure: adjoin the generators (any iterable) in order,
-    skipping each one already in the group generated so far.
+    """Incremental closure by coset enumeration (Dimino's algorithm):
+    adjoin the generators (any iterable) in order, skipping each one
+    already in the group generated so far.
 
     Returns ``(used, elements)``: the adjoined generators and the group
-    they generate.  Adjoining g only multiplies the old elements by g,
-    since they are already closed under the earlier generators; each new
-    element is multiplied by every generator used.
+    they generate.  Adjoining g to the closed group H walks a growing
+    list of right-coset representatives from the identity; a product
+    r * t by a used generator t outside the elements found so far adds
+    the whole coset H * (r * t), since (H r) t = H (r t) and right
+    cosets are disjoint.  Each new element costs one product, plus one
+    per representative and used generator.  Raises
+    ``CapExceeded`` once the count passes ``limit``, which it may
+    overshoot by at most one coset of H.
     """
     elements = {identity(degree)}
     used: list[Perm] = []
@@ -307,20 +313,17 @@ def close_under_products(gens, degree: int, limit: int | None = None):
             continue
         used.append(g)
         tables.append(perm_table(g))
-        frontier = list(elements)
-        step = tables[-1:]
-        while frontier:
-            new_frontier = []
-            for cur in frontier:
-                for table in step:
-                    nxt = cur.translate(table)
-                    if nxt not in elements:
-                        elements.add(nxt)
-                        if limit is not None and len(elements) > limit:
-                            raise CapExceeded(len(elements), limit)
-                        new_frontier.append(nxt)
-            frontier = new_frontier
-            step = tables
+        subgroup = list(elements)
+        reps = [identity(degree)]
+        for rep in reps:  # grows while it is walked
+            for table in tables:
+                nxt = rep.translate(table)
+                if nxt not in elements:
+                    nxt_table = perm_table(nxt)
+                    elements.update([h.translate(nxt_table) for h in subgroup])
+                    if limit is not None and len(elements) > limit:
+                        raise CapExceeded(len(elements), limit)
+                    reps.append(nxt)
     return used, elements
 
 

@@ -101,8 +101,11 @@ def next_partition_number_matrix(m: PartitionNumberMatrix) -> PartitionNumberMat
 
 
 def nr_coprime_prime_power_partitions(n: int) -> int:
-    """r(n): partitions of n into pairwise coprime prime powers > 1."""
-    return _r_values(n)[n]
+    """r(n): partitions of n into pairwise coprime prime powers > 1;
+    r(0) = 1, the empty partition."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    return _r_values(max(n, 1))[n]
 
 
 def nr_element_orders_sym(n: int) -> int:

@@ -69,6 +69,10 @@ def test_cli_sym(capsys):
     assert code == 0 and out.strip() == "4"
     code, out, _ = run_cli(capsys, "sym", "r", "--n", "7")
     assert code == 0 and out.strip() == "3"
+    code, out, _ = run_cli(capsys, "sym", "r", "--n", "0")
+    assert code == 0 and out.strip() == "1"
+    code, out, err = run_cli(capsys, "sym", "r", "--n", "-1")
+    assert code == 1 and out == "" and "n must be >= 0" in err
     code, out, _ = run_cli(capsys, "sym", "constants", "--max", "70", "--argmax")
     assert code == 0 and "argmax=66" in out
 

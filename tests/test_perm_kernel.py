@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordspectra import cli, oracle
-from ordspectra.errors import CapacityError
+from ordspectra.errors import CapacityError, CapExceeded
 from ordspectra.oracle import groups
 from ordspectra.oracle.autos import conjugation_map
 from ordspectra.oracle.groups import (close_under_products, perm_compose, perm_inverse,
@@ -113,6 +113,8 @@ def _partition(class_of, reps):
     ("PSL", 3, 2), ("PSU", 3, 3), ("PSp", 4, 3), ("GU", 3, 2), ("Alt", 5, None),
     ("Sym", 5, None), ("PSL", 1, 5), ("Cyclic", 1, None), ("Sym", 1, None),
     ("Alt", 1, None), ("Alt", 2, None),
+    # closed from Schreier generators (build._kernel)
+    ("SOminus", 4, 2), ("POmegaminus", 4, 3),
 ])
 def test_kernel_matches_tuple_reference(get_group, kind, n, q):
     builders = {"Alt": oracle.build_alternating, "Sym": oracle.build_symmetric,
@@ -125,6 +127,33 @@ def test_kernel_matches_tuple_reference(get_group, kind, n, q):
     assert {tuple(e) for e in closed} == {tuple(e) for e in group.elements} == elements
     reference = _partition(*reference_classes(elements, tuple_gens))
     assert _partition(*group.conjugacy_classes()) == reference
+
+
+@st.composite
+def _generator_lists(draw):
+    """(n, generators on n points): random ones, then the identity, repeats
+    and products of them mixed in, which are redundant once their factors
+    come first."""
+    n = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(n)).map(bytes), max_size=4))
+    pool = [bytes(range(n))] + perms + [perm_compose(a, b) for a in perms for b in perms]
+    extra = draw(st.lists(st.sampled_from(pool), max_size=4))
+    return n, draw(st.permutations(perms + extra))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_generator_lists(), st.booleans())
+def test_closure_matches_breadth_first_reference(case, one_shot):
+    n, gens = case
+    used, elements = close_under_products(iter(gens) if one_shot else gens, n)
+    ref_used, ref_elements = reference_closure([tuple(g) for g in gens], n)
+    assert [tuple(g) for g in used] == ref_used
+    assert isinstance(elements, set)
+    assert {tuple(e) for e in elements} == ref_elements
+    assert close_under_products(iter(gens), n, limit=len(elements))[1] == elements
+    if len(elements) > 1:  # the identity alone is never held against the limit
+        with pytest.raises(CapExceeded):
+            close_under_products(gens, n, limit=len(elements) - 1)
 
 
 @pytest.mark.parametrize("build", [

@@ -105,6 +105,9 @@ def test_row_matches_enumeration_by_smallest_base():
 
 
 def test_r_values():
+    assert sp.nr_coprime_prime_power_partitions(0) == 1  # the empty partition
+    with pytest.raises(DomainError, match="n must be >= 0"):
+        sp.nr_coprime_prime_power_partitions(-1)
     assert sp.nr_coprime_prime_power_partitions(1) == 0
     assert sp.nr_coprime_prime_power_partitions(5) == 2
     assert sp.nr_coprime_prime_power_partitions(6) == 0
