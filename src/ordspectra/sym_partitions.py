@@ -8,14 +8,18 @@ coefficients of
 
     prod over primes p <= n of (1 + x**p + x**(p**2) + ...).
 
-The product is taken as one list of n + 1 ints: multiplying by the
-factor of p adds to the list each copy of itself shifted by a power of
-p.  Walking the primes in descending order, the list before the factor
-of p counts the partitions with every base above p and the list after
-it those with every base at least p, so their difference is r_p(k), the
-number of partitions of k whose smallest prime base is p.  The n-th
-partition number matrix collects r_{p_j}(i) for i <= n and primes
-p_j <= n; its row sums are r(i).
+The product is taken as one int R (Kronecker substitution): slot k, a
+run of W bits, holds the coefficient of x**k, so multiplying by the
+factor of p adds to R each copy of itself shifted by a power of p slots,
+one big-int addition per prime power.  The top bit of every slot is a
+guard: every slot stays below 2**(W - 1) before an addition, so no carry
+crosses a slot, and the first sum to reach the guard widens the slots
+(W doubles, starting at 64) without losing R.  Walking the primes in
+descending order, R before the factor of p counts the partitions with
+every base above p and R after it those with every base at least p, so
+their difference is r_p(k), the number of partitions of k whose
+smallest prime base is p.  The n-th partition number matrix collects
+r_{p_j}(i) for i <= n and primes p_j <= n; its row sums are r(i).
 
 Also provided: the distinct-parts partition counts s(n) and the double
 convolution g2(d) built from them, both used by the survey bounds.
@@ -23,7 +27,7 @@ convolution g2(d) built from them, both used by the survey bounds.
 
 from __future__ import annotations
 
-import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -46,21 +50,61 @@ class PartitionNumberMatrix:
     rows: tuple[tuple[int, ...], ...]
 
 
+def _unpack(packed: int, slots: int, size: int) -> list[int]:
+    """The ``slots`` slots of ``size`` bytes each of ``packed``, slot 0 first."""
+    data = packed.to_bytes(slots * size, "little")
+    if size == 8 and sys.byteorder == "little":
+        return memoryview(data).cast("Q").tolist()
+    return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+
+
+def _pack(values: list[int], size: int) -> int:
+    """The inverse of ``_unpack``."""
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def _slot_masks(slots: int, size: int) -> tuple[int, int]:
+    """All ones over ``slots`` slots of ``size`` bytes, and the top bit of
+    each slot (the all-ones repunit of the slots, shifted up)."""
+    width = 8 * size
+    full = (1 << slots * width) - 1
+    return full, full // ((1 << width) - 1) << width - 1
+
+
 def _prime_power_product(n: int, columns: dict[int, list[int]] | None = None) -> list[int]:
     """r(0..n), multiplying in the primes p <= n in descending order.
 
-    If ``columns`` is given, columns[p] is set to r_p(0..n).
+    The coefficients live in one int R: slot k, bits k*W to (k + 1)*W - 1
+    with W = 8*size, holds the coefficient of x**k.  The factor of p adds
+    R before it, shifted up by p**j slots and cut to n + 1 slots, for each
+    p**j <= n.  ``guard`` holds the top bit of every slot.  Every slot of
+    R, and so of ``before`` (an earlier R), is below 2**(W - 1) before an
+    addition, so each slot sum is below 2**W and no carry crosses a slot:
+    R stays exact, and a slot at or above 2**(W - 1) after it trips the
+    guard.  Then R and ``before`` are repacked in slots of twice the size,
+    which puts every slot below 2**W <= 2**(2W - 1) again, and the product
+    goes on where it was.  Slots start at 8 bytes.
+
+    If ``columns`` is given, columns[p] is set to r_p(0..n), the slots of
+    R after the factor of p minus those before it (no borrows: no
+    coefficient drops).
     """
-    r = [1] + [0] * n
+    slots, size, packed = n + 1, 8, 1
+    mask, guard = _slot_masks(slots, size)
     for p in reversed(arith.primes_up_to(n)):
-        before = r[:]
+        before = packed
         power = p
         while power <= n:
-            r[power:] = map(operator.add, r[power:], before)
+            packed += (before << power * 8 * size) & mask
+            if packed & guard:
+                packed = _pack(_unpack(packed, slots, size), 2 * size)
+                before = _pack(_unpack(before, slots, size), 2 * size)
+                size *= 2
+                mask, guard = _slot_masks(slots, size)
             power *= p
         if columns is not None:
-            columns[p] = list(map(operator.sub, r, before))
-    return r
+            columns[p] = _unpack(packed - before, slots, size)
+    return _unpack(packed, slots, size)
 
 
 #: r(0..m) as the single row of ``_TABLE.rows``; r(k) does not depend on
@@ -109,8 +153,11 @@ def nr_coprime_prime_power_partitions(n: int) -> int:
 
 
 def nr_element_orders_sym(n: int) -> int:
-    """Number of distinct element orders in Sym(n): sum(r(k), k <= n)."""
-    return sum(_r_values(n)[: n + 1])
+    """Number of distinct element orders in Sym(n): sum(r(k), k <= n);
+    Sym(0) is trivial and has 1."""
+    if n < 0:
+        raise DomainError("n must be >= 0")
+    return sum(_r_values(max(n, 1))[: n + 1])
 
 
 def omicron_sym_constants(n: int) -> list[tuple[int, float]]:

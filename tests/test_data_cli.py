@@ -67,6 +67,10 @@ def run_cli(capsys, *argv):
 def test_cli_sym(capsys):
     code, out, _ = run_cli(capsys, "sym", "omicron", "--n", "4")
     assert code == 0 and out.strip() == "4"
+    code, out, _ = run_cli(capsys, "sym", "omicron", "--n", "0")
+    assert code == 0 and out.strip() == "1"
+    code, out, err = run_cli(capsys, "sym", "omicron", "--n", "-1")
+    assert code == 1 and out == "" and "n must be >= 0" in err
     code, out, _ = run_cli(capsys, "sym", "r", "--n", "7")
     assert code == 0 and out.strip() == "3"
     code, out, _ = run_cli(capsys, "sym", "r", "--n", "0")

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -56,6 +57,49 @@ def recursive_r_p_rows(n):
             suf[j] = suf[j + 1] + row[j]
         suffix.append(suf)
     return primes, rows
+
+
+def reference_product(n, columns=None):
+    """r(0..n) as a list of n + 1 ints, multiplying in the primes p <= n in
+    descending order (the list form of the packed product); columns[p] is
+    set to r_p(0..n) if ``columns`` is given."""
+    from ordspectra.arith import primes_up_to
+
+    r = [1] + [0] * n
+    for p in reversed(primes_up_to(n)):
+        before = r[:]
+        power = p
+        while power <= n:
+            r[power:] = map(operator.add, r[power:], before)
+            power *= p
+        if columns is not None:
+            columns[p] = list(map(operator.sub, r, before))
+    return r
+
+
+def test_packed_product_matches_reference_up_to_300():
+    for n in range(0, 301):
+        assert sp._prime_power_product(n) == reference_product(n), n
+
+
+def test_packed_product_matches_reference_prefixes():
+    full = reference_product(6000)
+    # r(k) fits the 63 value bits of an 8-byte slot up to k = 2100, not up
+    # to 4599: the products for 4599 and 6000 widen to 16-byte slots
+    assert max(full[:4600]).bit_length() > 63 > max(full[:2101]).bit_length()
+    for n in (1000, 2100, 4599, 6000):
+        assert sp._prime_power_product(n) == full[: n + 1], n
+
+
+def test_packed_columns_match_reference():
+    expected = {}
+    reference_product(2500, expected)
+    columns = {}
+    sp._prime_power_product(2500, columns)
+    assert columns == expected
+    m = sp.partition_number_matrix(2500)
+    assert m.primes == tuple(sorted(expected))
+    assert m.rows == tuple(zip(*(expected[p][1:] for p in m.primes)))
 
 
 def test_matrix_base_cases():
@@ -118,6 +162,9 @@ def test_r_values():
 
 
 def test_nr_element_orders_sym():
+    assert sp.nr_element_orders_sym(0) == 1  # Sym(0) is trivial
+    with pytest.raises(DomainError, match="n must be >= 0"):
+        sp.nr_element_orders_sym(-1)
     assert sp.nr_element_orders_sym(1) == 1
     assert sp.nr_element_orders_sym(4) == 4
     assert sp.nr_element_orders_sym(7) == 9
