@@ -8,6 +8,14 @@ enumeration, so the elements and the generators kept are deterministic.
 Class representatives follow set order, which moves with the hash seed
 of ``bytes``; no result depends on which one is picked.
 
+The class walk conjugates by two elements when there are more than two
+generators: the first of ``PAIR_TRIES`` product-replacement pairs
+(words in the generators from a fixed-seed ``random.Random``, never
+from set order) whose closure passes half the group order.  A proper
+subgroup has at most half the elements (Lagrange), so such a pair
+generates the group, and a pair that fails only builds a proper
+subgroup.  If none passes, the walk conjugates by every generator.
+
 A permutation is the ``bytes`` of images of 0..degree-1, and products
 read left to right: ``perm_compose(a, b)`` applies a first, then b, so
 its entry i is b[a[i]].  That is ``a.translate(perm_table(b))``, where
@@ -31,6 +39,7 @@ Fixed forms (documented so constructions are reproducible bit for bit):
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 from ..errors import CapacityError, CapExceeded, DomainError
@@ -241,6 +250,8 @@ class SmallGroup:
     gens: list[Perm]
     elements: set[Perm]
     meta: dict = field(default_factory=dict)
+    #: the generators the class walk conjugates by, set by its first run
+    conjugators: list[Perm] | None = field(default=None, init=False, compare=False)
     _classes: tuple[dict[Perm, int], list[Perm]] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -258,11 +269,18 @@ class SmallGroup:
         return len(self.element_orders())
 
     def conjugacy_classes(self) -> tuple[dict[Perm, int], list[Perm]]:
-        """(element -> class index, class representatives)."""
+        """(element -> class index, class representatives).
+
+        The classes are the orbits under conjugation by a generating set,
+        ``class_conjugators``: a pair whose closure has more than half the
+        elements, and so is the whole group (Lagrange), or else ``gens``.
+        The set used is kept as ``conjugators``.
+        """
         if self._classes is not None:
             return self._classes
+        self.conjugators = class_conjugators(self.gens, self.degree, self.order)
         # g^-1 x g = perm_compose(perm_compose(g^-1, x), g)
-        conjugators = [(perm_inverse(g), perm_table(g)) for g in self.gens]
+        conjugators = [(perm_inverse(g), perm_table(g)) for g in self.conjugators]
         pad = PAD[self.degree:]
         class_of: dict[Perm, int] = {}
         reps: list[Perm] = []
@@ -325,6 +343,47 @@ def close_under_products(gens, degree: int, limit: int | None = None):
                         raise CapExceeded(len(elements), limit)
                     reps.append(nxt)
     return used, elements
+
+
+#: candidate pairs ``class_conjugators`` tests before it keeps every generator
+PAIR_TRIES = 8
+
+
+def candidate_pairs(gens: list[Perm]):
+    """PAIR_TRIES pairs of words in ``gens`` by product replacement: between
+    pairs, 2 * len(gens) times, one slot of a copy of ``gens`` is replaced by
+    its product with another slot, the slots drawn from a ``random.Random``
+    of fixed seed.  The pairs depend on ``gens`` alone, never on set order."""
+    rng = random.Random(0)
+    state = list(gens)
+    slots = range(len(state))
+    for _ in range(PAIR_TRIES):
+        for _ in range(2 * len(state)):
+            i, j = rng.sample(slots, 2)
+            state[i] = perm_compose(state[i], state[j])
+        yield state[0], state[1]
+
+
+def generates(pair, degree: int, order: int) -> bool:
+    """Whether ``pair`` generates a group of the given order that contains
+    it: true once its closure passes order / 2, since a proper subgroup has
+    at most half the elements (Lagrange)."""
+    try:
+        close_under_products(pair, degree, limit=order // 2)
+    except CapExceeded:
+        return True
+    return False
+
+
+def class_conjugators(gens: list[Perm], degree: int, order: int) -> list[Perm]:
+    """The first of ``candidate_pairs(gens)`` that ``generates`` the group
+    of ``gens``, or ``gens`` themselves when they are at most two or no
+    candidate passes."""
+    if len(gens) > 2:
+        for pair in candidate_pairs(gens):
+            if generates(pair, degree, order):
+                return list(pair)
+    return gens
 
 
 def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: bool):

@@ -169,27 +169,6 @@ def epsilon_q_classical2(d: int, q: int):
 
 
 # ---------------------------------------------------------------------------
-# table-driven evaluators whose coefficient tables must be user-supplied
-
-
-def epsilon_omega_table_bound(symbol: str, Q: int, constants: dict) -> float:
-    """Low-rank epsilon_omega bound backed entirely by an ingested table
-    (no built-in values)."""
-    key = f"general1_{symbol}_{Q}"
-    if key not in constants:
-        raise DataMissing(f"constant {key}")
-    return float(constants[key])
-
-
-def epsilon_q_exceptional_table_bound(symbol: str, Q: int, constants: dict) -> float:
-    """Exceptional-family epsilon_q bound backed by an ingested table."""
-    key = f"qexc_{symbol}_{Q}"
-    if key not in constants:
-        raise DataMissing(f"constant {key}")
-    return float(constants[key])
-
-
-# ---------------------------------------------------------------------------
 # thresholds and exception searches
 
 

@@ -28,6 +28,7 @@ convolution g2(d) built from them, both used by the survey bounds.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -123,6 +124,24 @@ def _r_values(n: int) -> list[int]:
     return row
 
 
+#: r_p(0..m) for the primes p <= m, the columns of the m-th matrix, and
+#: those primes in ascending order; the n-th matrix reads the prefixes
+#: r_p(0..n) for p <= n, as r_p(k) does not depend on m either.
+_COLUMNS = SimpleNamespace(m=0, primes=(), columns={})
+
+
+def _matrix_columns(n: int) -> SimpleNamespace:
+    """``_COLUMNS`` with m >= n, rebuilt to at least twice its extent as
+    ``_r_values`` is, so n rising one by one rebuilds it O(log n) times."""
+    table = _COLUMNS
+    if table.m < n:
+        columns: dict[int, list[int]] = {}
+        m = max(n, 2 * table.m)
+        _prime_power_product(m, columns)
+        table.m, table.primes, table.columns = m, tuple(sorted(columns)), columns
+    return table
+
+
 def partition_number_matrix(n: int, max_prime: int | None = None) -> PartitionNumberMatrix:
     """The n-th partition number matrix (n >= 1); a ``max_prime`` below n
     raises CapacityError."""
@@ -130,10 +149,10 @@ def partition_number_matrix(n: int, max_prime: int | None = None) -> PartitionNu
         raise DomainError("n must be >= 1")
     if max_prime is not None and max_prime < n:
         raise CapacityError(f"prime cap {max_prime} too small for n = {n}", needed=n)
-    columns: dict[int, list[int]] = {}
-    _prime_power_product(n, columns)
-    primes = tuple(sorted(columns))
-    rows = zip(*(columns[p][1:] for p in primes)) if primes else [(0,)] * n
+    table = _matrix_columns(n)
+    primes = table.primes[: bisect_right(table.primes, n)]
+    rows = (zip(*(table.columns[p][1 : n + 1] for p in primes)) if primes
+            else [(0,)] * n)
     return PartitionNumberMatrix(n=n, primes=primes, rows=tuple(rows))
 
 

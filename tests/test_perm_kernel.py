@@ -1,7 +1,11 @@
 """The oracle's permutation kernel: bytes.translate composition, the
-256-point limit, and per-class orders."""
+256-point limit, the class walk's generating pair, and per-class orders."""
 
+import os
+import subprocess
+import sys
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +15,9 @@ from ordspectra import cli, oracle
 from ordspectra.errors import CapacityError, CapExceeded
 from ordspectra.oracle import groups
 from ordspectra.oracle.autos import conjugation_map
-from ordspectra.oracle.groups import (close_under_products, perm_compose, perm_inverse,
-                                      perm_order, perm_table)
+from ordspectra.oracle.groups import (SmallGroup, candidate_pairs, class_conjugators,
+                                      close_under_products, generates, perm_compose,
+                                      perm_inverse, perm_order, perm_table)
 from ordspectra.torus_spectra import OrderSet
 
 
@@ -115,6 +120,8 @@ def _partition(class_of, reps):
     ("Alt", 1, None), ("Alt", 2, None),
     # closed from Schreier generators (build._kernel)
     ("SOminus", 4, 2), ("POmegaminus", 4, 3),
+    # five or six generators, walked by a generating pair
+    ("PSU", 4, 2), ("PSL", 3, 4), ("PSL", 4, 2),
 ])
 def test_kernel_matches_tuple_reference(get_group, kind, n, q):
     builders = {"Alt": oracle.build_alternating, "Sym": oracle.build_symmetric,
@@ -127,6 +134,81 @@ def test_kernel_matches_tuple_reference(get_group, kind, n, q):
     assert {tuple(e) for e in closed} == {tuple(e) for e in group.elements} == elements
     reference = _partition(*reference_classes(elements, tuple_gens))
     assert _partition(*group.conjugacy_classes()) == reference
+    assert group.conjugators == class_conjugators(group.gens, group.degree, group.order)
+    if len(group.gens) > 2 and group.order > 1:
+        assert len(group.conjugators) == 2
+
+
+# -- the generating pair of the class walk
+
+
+def _sym5(gens):
+    """Sym(5) (or a subgroup) on the given generators."""
+    return SmallGroup(degree=5, gens=gens, elements=close_under_products(gens, 5)[1])
+
+
+def _all_generator_partition(group):
+    return _partition(*reference_classes({tuple(e) for e in group.elements},
+                                         [tuple(g) for g in group.gens]))
+
+
+TRANSPOSITION = bytes((1, 0, 2, 3, 4))
+THREE_CYCLE = bytes((1, 2, 0, 3, 4))
+FIVE_CYCLE = bytes((1, 2, 3, 4, 0))
+ADJACENT_TRANSPOSITIONS = [bytes((*range(i), i + 1, i, *range(i + 2, 5))) for i in range(4)]
+
+
+def test_pair_of_exactly_half_the_order_is_refused():
+    # a 3-cycle and a 5-cycle generate Alt(5): 60 elements, |Sym(5)| / 2
+    assert len(close_under_products([THREE_CYCLE, FIVE_CYCLE], 5)[1]) == 60
+    assert not generates((THREE_CYCLE, FIVE_CYCLE), 5, 120)
+    assert generates((THREE_CYCLE, FIVE_CYCLE), 5, 60)
+    assert generates((TRANSPOSITION, FIVE_CYCLE), 5, 120)
+
+
+def test_generating_pair_is_accepted():
+    group = _sym5(ADJACENT_TRANSPOSITIONS)
+    assert group.order == 120
+    pair = class_conjugators(group.gens, 5, 120)
+    assert tuple(pair) in set(candidate_pairs(group.gens))
+    assert len(close_under_products(pair, 5)[1]) == 120
+    assert _partition(*group.conjugacy_classes()) == _all_generator_partition(group)
+    assert group.conjugators == pair
+    assert group.conjugacy_class_count() == 7
+    # at most two generators are walked as they are
+    assert class_conjugators([TRANSPOSITION, FIVE_CYCLE], 5, 120) == [TRANSPOSITION, FIVE_CYCLE]
+
+
+def test_walk_falls_back_to_every_generator(monkeypatch):
+    # every candidate lies in Alt(5), a proper subgroup of Sym(5)
+    monkeypatch.setattr(groups, "candidate_pairs",
+                        lambda gens: [(THREE_CYCLE, FIVE_CYCLE)] * groups.PAIR_TRIES)
+    group = _sym5(ADJACENT_TRANSPOSITIONS)
+    assert _partition(*group.conjugacy_classes()) == _all_generator_partition(group)
+    assert group.conjugators == ADJACENT_TRANSPOSITIONS
+
+
+_CONJUGATORS_SCRIPT = """
+from ordspectra import oracle
+group = oracle.build_classical("PSp", 4, 3)
+group.conjugacy_classes()
+print(len(group.gens), *(g.hex() for g in group.conjugators))
+"""
+
+
+def test_conjugators_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", _CONJUGATORS_SCRIPT],
+                              capture_output=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    count, *conjugators = outputs[0].split()
+    assert int(count) == 5 and len(conjugators) == 2
 
 
 @st.composite

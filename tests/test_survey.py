@@ -102,17 +102,6 @@ def test_classical2_branches():
         survey.epsilon_q_classical2(2, 6)
 
 
-def test_table_driven_evaluators():
-    with pytest.raises(DataMissing):
-        survey.epsilon_omega_table_bound("2B2", 8, {})
-    assert survey.epsilon_omega_table_bound(
-        "2B2", 8, {"general1_2B2_8": 0.14}) == 0.14
-    with pytest.raises(DataMissing):
-        survey.epsilon_q_exceptional_table_bound("G2", 4, {})
-    assert survey.epsilon_q_exceptional_table_bound(
-        "G2", 4, {"qexc_G2_4": 0.1}) == 0.1
-
-
 def monster_constants():
     return {
         "monster_omega": 194,

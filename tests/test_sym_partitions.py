@@ -1,5 +1,6 @@
 import math
 import operator
+from types import SimpleNamespace
 
 import pytest
 
@@ -245,6 +246,26 @@ def test_rising_n_rebuilds_logarithmically(monkeypatch):
     totals = [sp.nr_element_orders_sym(n) for n in range(100, 200)]
     assert builds == [100, 202]
     assert totals == [sum(product(n)) for n in range(100, 200)]
+
+
+def test_rising_matrices_rebuild_logarithmically(monkeypatch):
+    builds = []
+    product = sp._prime_power_product
+
+    def counted(n, *args):
+        builds.append(n)
+        return product(n, *args)
+
+    monkeypatch.setattr(sp, "_COLUMNS", SimpleNamespace(m=0, primes=(), columns={}))
+    monkeypatch.setattr(sp, "_prime_power_product", counted)
+    expected = {}
+    reference_product(220, expected)
+    m = sp.partition_number_matrix(100)
+    while m.n < 220:
+        m = sp.next_partition_number_matrix(m)
+        assert m.primes == tuple(p for p in sorted(expected) if p <= m.n)
+        assert m.rows == tuple(zip(*(expected[p][1 : m.n + 1] for p in m.primes)))
+    assert builds == [100, 200, 400]
 
 
 def test_distinct_parts_counts():
