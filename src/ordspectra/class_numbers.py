@@ -129,19 +129,16 @@ def class_number_lower_bound(spec: LieSpec, level: int | None,
         sign = 1 if family == "D" else -1
         if level == 1:
             value = Fraction(q**d, math.gcd(2, q - 1) ** 2)
-            return int(value) if value.denominator == 1 else value
-        if q % 2 == 0:
+        elif q % 2 == 0:
             return k_omega(provider, sign, 2 * d, q)
-        # q odd: the two printed case splits are mirrored between D and 2D
-        half_so = Fraction(k_so(provider, sign, 2 * d, q), 2)
-        ceil_half_omega = -(-k_omega(provider, sign, 2 * d, q) // 2)
-        if family == "D":
-            if q % 4 == 3 and d % 2 == 1:
-                return int(half_so) if half_so.denominator == 1 else half_so
-            return ceil_half_omega
-        if q % 4 == 1 or d % 2 == 0:
-            return int(half_so) if half_so.denominator == 1 else half_so
-        return ceil_half_omega
+        else:
+            # q odd: the printed 2D case split is the exact negation of the
+            # D one.  Both counts are read, so missing data refuses either way.
+            value = Fraction(k_so(provider, sign, 2 * d, q), 2)
+            ceil_half_omega = -(-k_omega(provider, sign, 2 * d, q) // 2)
+            if (q % 4 == 3 and d % 2 == 1) != (family == "D"):
+                return ceil_half_omega
+        return int(value) if value.denominator == 1 else value
     if family in ("E6", "2E6", "E7"):
         if level is not None:
             raise DomainError(

@@ -116,8 +116,6 @@ FAMILIES = tuple(FAMILY_TABLE)
 CLASSICAL_FAMILIES = tuple(f for f, row in FAMILY_TABLE.items() if row.classical)
 #: Fixed rank per exceptional family.
 EXCEPTIONAL_RANK = {f: row.rank for f, row in FAMILY_TABLE.items() if not row.classical}
-#: Twist degree t with Q = q**t.
-TWIST = {f: row.t for f, row in FAMILY_TABLE.items()}
 
 #: Parameter points that name non-simple groups; accepted with a warning.
 _NON_SIMPLE = {

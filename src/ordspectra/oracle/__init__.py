@@ -36,16 +36,8 @@ from .groups import SmallGroup, close_under_products, identity
 AUT_CAP = 100_000
 
 
-def element_orders(G: SmallGroup) -> OrderSet:
-    return G.element_orders()
-
-
 def nr_element_orders(G: SmallGroup) -> int:
     return G.nr_element_orders()
-
-
-def conjugacy_class_count(G: SmallGroup) -> int:
-    return G.conjugacy_class_count()
 
 
 def semisimple_orders(G: SmallGroup, p: int) -> OrderSet:
@@ -199,8 +191,6 @@ __all__ = [
     "build_classical",
     "build_cyclic",
     "build_symmetric",
-    "conjugacy_class_count",
-    "element_orders",
     "expected_order",
     "generic_aut_order",
     "generic_nr_aut_orbits",

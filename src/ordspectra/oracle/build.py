@@ -12,13 +12,15 @@ import itertools
 import math
 
 from .. import arith
-from ..errors import CapExceeded, DomainError
+from ..errors import CapacityError, CapExceeded, DomainError
 from .ffield import Fq, get_field, pow_elem
 from .groups import (
+    MAX_DEGREE,
     Matrix,
     SmallGroup,
     all_vectors,
     bilinear,
+    check_degree,
     close_under_products,
     hermitian_value,
     identity,
@@ -275,7 +277,10 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     Raises DomainError before any work when n < 1, n has the wrong parity
     (even for Sp, PSp and the plus/minus kinds, odd for GO, SO and Omega)
     or q is not a prime power; CapExceeded when the order polynomial
-    exceeds ``cap``; and DomainError if the closure does not reach the
+    exceeds ``cap``; DomainError for GO, SO and Omega over even q, and
+    CapacityError when the field has more than MAX_DEGREE + 1 elements
+    or the points number more than MAX_DEGREE, all before the field is
+    built; and DomainError if the closure does not reach the
     expected order (a construction bug, never a silent approximation).
     """
     if kind not in KINDS:
@@ -291,8 +296,18 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     target = expected_order(kind, n, q)
     if target > cap:
         raise CapExceeded(target, cap)
-    F = _field_for(kind, q)
+    if kind in ("GO", "SO", "Omega") and q % 2 == 0:
+        raise DomainError(
+            "odd-dimensional orthogonal groups over even q coincide "
+            "with Sp; build that instead"
+        )
     projective = kind in ("PSL", "PSU", "PSp", "POmegaplus", "POmegaminus")
+    Q = q * q if kind in ("GU", "SU", "PSU") else q
+    if Q > MAX_DEGREE + 1:  # such a field fits the points only in trivial PSL_1, PSU_1
+        raise CapacityError(f"a field of {Q} elements exceeds the {MAX_DEGREE}-point limit",
+                            needed=Q - 1)
+    check_degree((Q**n - 1) // (Q - 1) if projective else Q**n - 1)
+    F = _field_for(kind, q)
     points = projective_points(F, n) if projective else all_vectors(F, n)
     meta = {"kind": kind, "n": n, "q": q, "field": F,
             "projective": projective, "points": points}
@@ -316,11 +331,6 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     elif kind in ("Sp", "PSp"):
         mats = _sp_gens(F, n)
     else:
-        if n % 2 == 1 and q % 2 == 0:
-            raise DomainError(
-                "odd-dimensional orthogonal groups over even q coincide "
-                "with Sp; build that instead"
-            )
         sign = 0 if n % 2 else 1 if "plus" in kind else -1
         mats = orthogonal_group_gens(F, n, sign)
     perm_gens = matrices_to_perms(F, n, mats, points, projective)

@@ -1,130 +1,71 @@
 """Small finite fields with fully tabulated arithmetic.
 
-Elements of F(p**e) are integers 0..p**e-1 encoding polynomial
-coefficients in base p against a fixed modulus: the lexicographically
-smallest monic irreducible of degree e over F_p.  The fixed modulus
-makes every construction in this package reproducible bit for bit.
+An element of F(p**e) is its code 0..p**e-1, whose base-p digits are
+the coefficients of a polynomial in x of degree below e, constant term
+first (code = sum c_i * p**i).  Three tables over the codes carry all
+the arithmetic: addition is digitwise mod p, a constant times an element
+is digitwise too, and multiplication by x shifts the digits up and
+reduces the digit that falls off by the modulus.  Multiplication follows
+by Horner's rule over the digits: a*b = a_0*b + x*((a // p)*b), so each
+row of the table is read off an earlier one.
+
+The modulus is the first monic x**e + low, in code order of low, whose
+quotient ring has no zero divisors.  The test reads the multiplication
+table just built for that candidate, since a finite commutative ring
+without zero divisors is a field; it is the lexicographically smallest
+monic irreducible of degree e over F_p.  The fixed modulus makes every
+construction in this package reproducible bit for bit.  Fq itself has
+no size limit: the oracle's limits are its 256 points and its order cap.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..errors import DomainError
-
-
-def _poly_from_code(code: int, p: int) -> list[int]:
-    coeffs = []
-    while code:
-        coeffs.append(code % p)
-        code //= p
-    return coeffs
-
-
-def _poly_mul_mod(a: list[int], b: list[int], modulus: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = (out[i + j] + ca * cb) % p
-    e = len(modulus) - 1
-    # reduce: modulus is monic
-    for i in range(len(out) - 1, e - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(e):
-                out[i - e + j] = (out[i - e + j] - c * modulus[j]) % p
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= e//2."""
-    e = len(poly) - 1
-    if e == 1:
-        return True
-    for deg in range(1, e // 2 + 1):
-        for code in range(p**deg):
-            low = _poly_from_code(code, p)
-            divisor = low + [0] * (deg - len(low)) + [1]
-            if _poly_divides(divisor, poly, p):
-                return False
-    return True
-
-
-def _poly_divides(d: list[int], poly: list[int], p: int) -> bool:
-    rem = list(poly)
-    dd = len(d) - 1
-    inv_lead = pow(d[-1], -1, p)
-    while len(rem) - 1 >= dd and any(rem):
-        if rem[-1] == 0:
-            rem.pop()
-            continue
-        factor = rem[-1] * inv_lead % p
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(d):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return not any(rem)
-
 
 class Fq:
     """Finite field of order q = p**e with add/mul lookup tables."""
 
     def __init__(self, p: int, e: int):
-        if e < 1 or e > 6:
-            raise DomainError("field degree must be between 1 and 6")
         self.p = p
         self.e = e
-        self.q = p**e
-        if e == 1:
-            self.modulus = [0, 1]
-        else:
-            for code in range(p**e):
-                cand = _poly_from_code(code, p)
-                cand += [0] * (e - len(cand))
-                cand.append(1)  # monic
-                if _is_irreducible(cand, p):
-                    self.modulus = cand
-                    break
-        q = self.q
-        polys = [_poly_from_code(c, p) for c in range(q)]
-        self.add = [[self._encode(self._poly_add(polys[a], polys[b])) for b in range(q)]
-                    for a in range(q)]
-        self.mul = [[self._encode(_poly_mul_mod(polys[a], polys[b], self.modulus, p))
-                     for b in range(q)] for a in range(q)]
-        self.neg = [self.add[a].index(0) for a in range(q)]
-        self.inv = [0] * q
+        self.q = q = p**e
+        top = q // p  # the weight of the leading digit
+        # rows a >= 1 recur on row a // p: the code of a with its constant
+        # digit dropped, i.e. (a - a_0) / x
+        add = [list(range(q))]
         for a in range(1, q):
-            self.inv[a] = self.mul[a].index(1)
+            add.append([(a + b) % p + p * add[a // p][b // p] for b in range(q)])
+        scale = []  # scale[c][b] = c*b for a constant c
+        for c in range(p):
+            row = [0]
+            for b in range(1, q):
+                row.append(c * b % p + p * row[b // p])
+            scale.append(row)
+        for low in range(q):  # the modulus x**e + low, so x**e = -low
+            times_x = [add[p * (b % top)][scale[-(b // top) % p][low]] for b in range(q)]
+            mul = [[0] * q]
+            for a in range(1, q):
+                row = [add[scale[a % p][b]][times_x[m]] for b, m in enumerate(mul[a // p])]
+                if 0 in row[1:]:  # a zero divisor: x**e + low is reducible
+                    break
+                mul.append(row)
+            else:
+                break
+        self.modulus = [low // p**i % p for i in range(e)] + [1]
+        self.add = add
+        self.mul = mul
+        self.neg = scale[p - 1]
+        self.inv = [0] + [row.index(1) for row in mul[1:]]
         self.frob = [pow_elem(self, a, p) for a in range(q)]
-        self.generator = self._find_generator()
+        self.generator = next((g for g in range(2, q) if self._order(g) == q - 1), 1)
 
-    def _poly_add(self, a: list[int], b: list[int]) -> list[int]:
-        n = max(len(a), len(b))
-        return [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % self.p
-                for i in range(n)]
-
-    def _encode(self, poly: list[int]) -> int:
-        code = 0
-        for c in reversed(poly):
-            code = code * self.p + c
-        return code
-
-    def _find_generator(self) -> int:
-        for g in range(2, self.q):
-            x = g
-            count = 1
-            while x != 1:
-                x = self.mul[x][g]
-                count += 1
-            if count == self.q - 1:
-                return g
-        return 1  # q = 2
+    def _order(self, g: int) -> int:
+        x, count = g, 1
+        while x != 1:
+            x = self.mul[x][g]
+            count += 1
+        return count
 
     def sub(self, a: int, b: int) -> int:
         return self.add[a][self.neg[b]]

@@ -387,7 +387,6 @@ def class_conjugators(gens: list[Perm], degree: int, order: int) -> list[Perm]:
 
 
 def matrices_to_perms(F: Fq, n: int, mats: list[Matrix], points, projective: bool):
-    check_degree(len(points))
     index = {pt: i for i, pt in enumerate(points)}
     perms = []
     for m in mats:

@@ -4,7 +4,8 @@ from collections import Counter
 import pytest
 
 from ordspectra import oracle, sym_partitions
-from ordspectra.errors import CapExceeded, DomainError
+from ordspectra.errors import CapacityError, CapExceeded, DomainError
+from ordspectra.oracle import build
 from ordspectra.oracle.autos import duality_automorphism
 from ordspectra.oracle.groups import close_under_products, matrices_to_perms, perm_compose
 
@@ -175,6 +176,25 @@ def test_cap_exceeded():
 def test_cap_checked_before_the_field_is_built(kind, n, q):
     # the q x q field tables alone would take minutes; q = 3**7 has no field
     with pytest.raises(CapExceeded):
+        oracle.build_classical(kind, n, q)
+
+
+def test_field_past_degree_six_builds():
+    assert oracle.build_classical("GL", 1, 128).order == 127  # F128, 127 points
+
+
+@pytest.mark.parametrize("kind, n, q, error, message", [
+    ("PSL", 1, 2**9, CapacityError, "a field of 512 elements exceeds the 256-point limit"),
+    ("GU", 2, 8, CapacityError, "permutation degree 4095 exceeds the 256-point limit"),  # F64
+    # 1023 vectors, but the domain refusal comes first
+    ("GO", 5, 4, DomainError, "odd-dimensional orthogonal groups over even q coincide"),
+])
+def test_refused_before_the_field_is_built(monkeypatch, kind, n, q, error, message):
+    def no_field(*args):
+        raise AssertionError("field built")
+
+    monkeypatch.setattr(build, "get_field", no_field)
+    with pytest.raises(error, match=message):
         oracle.build_classical(kind, n, q)
 
 
