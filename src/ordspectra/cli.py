@@ -227,7 +227,7 @@ COMMANDS = {
         "epsilon-q": (_LIE + (_opt("--levels", type=_parse_levels, help="pair L1,L2"),),
                       lambda a, s: _epsilon_rows(bounds.epsilon_q_lower(
                           _spec(a), a.levels, s.class_numbers, s.spectra))),
-        "epsilon-q-fixed": ((_FAMILY, _D, _opt("--q", type=int, help=_Q_HELP)),
+        "epsilon-q-fixed": ((_FAMILY, _D),
                             lambda a, s: _epsilon_rows(bounds.epsilon_q_fixed_small_q(
                                 a.family, a.d, s.constants, s.class_numbers))),
         "spectrum": (_LIE + (_opt("--semisimple", action="store_true"),), _spectrum),

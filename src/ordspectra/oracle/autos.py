@@ -24,10 +24,8 @@ from .groups import (
     Matrix,
     Perm,
     SmallGroup,
-    bilinear,
     close_under_products,
     identity,
-    mat_identity,
     matrices_to_perms,
     perm_compose,
     perm_inverse,
@@ -67,11 +65,15 @@ def duality_automorphism(G: SmallGroup) -> AutoMap:
     hyperplane of g^-T w.  So the image of g sends the point w to the
     point whose hyperplane is g's image of the hyperplane of w."""
     F: Fq = G.meta["field"]
-    n = G.meta["n"]
     points = G.meta["points"]
-    dot = mat_identity(n)
-    hyperplanes = [bytes(i for i, x in enumerate(points) if not bilinear(F, n, dot, w, x))
-                   for w in points]
+
+    def dot(w, x) -> int:  # w^T x
+        acc = 0
+        for a, b in zip(w, x):
+            acc = F.add[acc][F.mul[a][b]]
+        return acc
+
+    hyperplanes = [bytes(i for i, x in enumerate(points) if not dot(w, x)) for w in points]
     point_of = {frozenset(h): i for i, h in enumerate(hyperplanes)}
 
     def image(perm: Perm) -> Perm:

@@ -19,7 +19,6 @@ from .groups import (
     Matrix,
     SmallGroup,
     all_vectors,
-    bilinear,
     check_degree,
     close_under_products,
     hermitian_value,
@@ -31,7 +30,7 @@ from .groups import (
     projective_points,
     quadratic_coeffs,
     quadratic_value,
-    symplectic_gram,
+    symplectic_value,
 )
 
 DEFAULT_CAP = 10**7
@@ -135,11 +134,10 @@ def gl_diagonal(F: Fq, n: int) -> Matrix:
 
 def _sp_gens(F: Fq, n: int) -> list[Matrix]:
     """Symplectic transvections x -> x + lam*B(x,v)*v along a vector list."""
-    gram = symplectic_gram(F, n)
     vectors = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
     vectors += [tuple(1 if k in (0, i) else 0 for k in range(n)) for i in range(1, n)]
     values = [1] + ([F.generator] if F.q > 2 else [])
-    return [_rank_one(F, n, v, lambda x: F.mul[lam][bilinear(F, n, gram, x, v)])
+    return [_rank_one(F, n, v, lambda x: F.mul[lam][symplectic_value(F, n, x, v)])
             for v in vectors for lam in values]
 
 
@@ -149,7 +147,8 @@ def _unitary_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
     SU_3(2) = 3^(1+2):Q8, where they generate only 3^(1+2):2.  Monomial
     isometries do not close that gap (the 18 of GU_3(2) have orders 1,
     2, 3 and 6); the root elements appended for odd n do
-    (``_unitary_root_elements``).  Diagonal isometries extend to GU."""
+    (``_unitary_root_elements``).  Diagonal isometries extend to GU; for
+    n = 1, GU is the norm-1 scalars, which the middle one alone gives."""
     half = F.e // 2
     trace_zero = [x for x in range(1, F.q) if F.add[x][F.conj(x, half)] == 0]
     isotropic = [pt for pt in projective_points(F, n)
@@ -157,7 +156,8 @@ def _unitary_gens(F: Fq, n: int, special: bool) -> list[Matrix]:
     gens = [_rank_one(F, n, v, lambda x: F.mul[lam][hermitian_value(F, n, half, v, x)])
             for v in isotropic for lam in trace_zero]
     if not special:
-        gens.append(unitary_diagonal(F, n))
+        if n > 1:
+            gens.append(unitary_diagonal(F, n))
         if n % 2 == 1:
             # generator**(q0 - 1) has norm 1
             beta = pow_elem(F, F.generator, F.p**half - 1)
@@ -198,16 +198,29 @@ def _unitary_root_elements(F: Fq, n: int, half: int) -> list[Matrix]:
     return gens
 
 
-def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
-    """Generators of the full orthogonal group: reflections (q odd) or
-    orthogonal transvections (q even) along the non-singular vectors, one
-    per projective point.  For q odd the reflections generate it
-    (Cartan-Dieudonne), so every generator is a reflection.  For q even
-    the transvections generate it except for O+_4(2), where they give a
-    subgroup of index 2; so for q even, plus type and n >= 4 the isometry
-    swapping the hyperbolic pairs (e_0, e_{n-1}) and (e_1, e_{n-2}) comes
-    last (the closure skips it wherever it is redundant)."""
+def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[tuple[Matrix, int]]:
+    """Generators of the full orthogonal group, each paired with its value
+    under the map GO -> (Z/2)^2 whose kernels are SO (bit 0) and Omega
+    (both bits).
+
+    The generators are the reflections (q odd) or orthogonal transvections
+    (q even) r_v along the non-singular vectors v, one per projective
+    point.  For q odd the reflections generate GO (Cartan-Dieudonne).  For
+    q even the transvections generate it except for O+_4(2), where they
+    give a subgroup of index 2; so for q even, plus type and n >= 4 the
+    isometry swapping the hyperbolic pairs (e_0, e_{n-1}) and (e_1,
+    e_{n-2}) comes last (the closure skips it wherever it is redundant).
+
+    The labels need no elimination (Taylor, The Geometry of the Classical
+    Groups, ch. 11).  Bit 0 is the Dickson invariant: rank(g - I) mod 2
+    for q even, and det g = -1 for q odd.  r_v - I has rank one, so r_v
+    has bit 0 set (for q odd, det r_v = -1).  Bit 1 is the spinor norm of r_v
+    for q odd, Q(v) modulo squares; for q even every element is a square,
+    so it is 0.  The swap is a permutation matrix that moves four basis
+    vectors in two 2-cycles, so swap - I has rank 2 and its value is 0.
+    """
     terms = quadratic_coeffs(F, n, sign)
+    squares = {F.mul[x][x] for x in range(1, F.q)}
 
     def polar(x, y):
         xy = tuple(F.add[a][b] for a, b in zip(x, y))
@@ -224,12 +237,13 @@ def orthogonal_group_gens(F: Fq, n: int, sign: int) -> list[Matrix]:
         # q even: the transvection x + polar(x, v)/Q(v) * v; q odd: the
         # reflection x - polar(x, v)/Q(v) * v
         scale = F.inv[qv] if F.p == 2 else F.neg[F.inv[qv]]
-        gens.append(_rank_one(F, n, v, lambda x: F.mul[scale][polar(x, v)]))
+        gens.append((_rank_one(F, n, v, lambda x: F.mul[scale][polar(x, v)]),
+                     1 | (qv not in squares) << 1))
     if F.p == 2 and sign == 1 and n >= 4:
         images = list(range(n))
         images[0], images[1] = 1, 0
         images[n - 1], images[n - 2] = n - 2, n - 1
-        gens.append(tuple(int(images[j] == i) for i in range(n) for j in range(n)))
+        gens.append((tuple(int(images[j] == i) for i in range(n) for j in range(n)), 0))
     return gens
 
 
@@ -272,16 +286,17 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     nonzero vectors of the natural module.  The recipe of the kind is
     closed once (``close_under_products``), keeping only the generators
     it needs.  SO, Omega and POmega are not closed from GO: they are the
-    kernel of a map GO -> (Z/2)^2 read off each recipe matrix
-    (``_character``), generated by its Schreier generators (``_kernel``).
+    kernel of a map GO -> (Z/2)^2 whose value on each recipe generator
+    comes with it (``orthogonal_group_gens``; SO reads bit 0 alone),
+    generated by its Schreier generators (``_kernel``).
     Raises DomainError before any work when n < 1, n has the wrong parity
     (even for Sp, PSp and the plus/minus kinds, odd for GO, SO and Omega)
     or q is not a prime power; CapExceeded when the order polynomial
     exceeds ``cap``; DomainError for GO, SO and Omega over even q, and
     CapacityError when the field has more than MAX_DEGREE + 1 elements
     or the points number more than MAX_DEGREE, all before the field is
-    built; and DomainError if the closure does not reach the
-    expected order (a construction bug, never a silent approximation).
+    built; and DomainError if the closure misses the expected order or
+    passes twice it (a construction bug, never a silent approximation).
     """
     if kind not in KINDS:
         raise DomainError(f"unknown kind {kind!r}")
@@ -312,18 +327,6 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
     meta = {"kind": kind, "n": n, "q": q, "field": F,
             "projective": projective, "points": points}
 
-    def finish(gens, elements, extra_meta=None) -> SmallGroup:
-        group = SmallGroup(degree=len(points), gens=list(gens), elements=elements)
-        group.meta = dict(meta)
-        if extra_meta:
-            group.meta.update(extra_meta)
-        if group.order != target:
-            raise DomainError(
-                f"construction of {kind}({n},{q}) gave order {group.order}, "
-                f"expected {target}"
-            )
-        return group
-
     if kind in ("GL", "SL", "PSL"):
         mats = _gl_gens(F, n, special=kind != "GL")
     elif kind in ("GU", "SU", "PSU"):
@@ -332,30 +335,23 @@ def build_classical(kind: str, n: int, q: int, cap: int = DEFAULT_CAP) -> SmallG
         mats = _sp_gens(F, n)
     else:
         sign = 0 if n % 2 else 1 if "plus" in kind else -1
-        mats = orthogonal_group_gens(F, n, sign)
+        mats, labels = zip(*orthogonal_group_gens(F, n, sign))
     perm_gens = matrices_to_perms(F, n, mats, points, projective)
-    if kind.startswith(("SO", "Omega", "POmega")):
-        terms = quadratic_coeffs(F, n, sign)
-        spinor = q % 2 == 1 and "Omega" in kind
-        labels = [_character(F, n, terms, m, spinor) for m in mats]
-        return finish(*_kernel(perm_gens, labels, len(points), 2 * target),
-                      extra_meta={"parent_gens": perm_gens})
-    return finish(*close_under_products(perm_gens, len(points), limit=2 * target))
-
-
-def _character(F: Fq, n: int, terms, m: Matrix, spinor: bool) -> int:
-    """The value on a recipe matrix of the map GO -> (Z/2)^2 whose kernels
-    are SO (bit 0) and Omega (both bits).  Bit 0 is the Dickson invariant,
-    which is the determinant on a reflection for q odd.  Bit 1 (spinor)
-    is the spinor norm of a reflection r_v for q odd: Q(v) modulo
-    squares, read off any nonzero column of m - I, a multiple of v."""
-    value = _dickson_invariant(F, n, m)
-    if spinor:
-        v = next(col for col in ([F.sub(m[i * n + j], int(i == j)) for i in range(n)]
-                                 for j in range(n)) if any(col))
-        squares = {F.mul[x][x] for x in range(1, F.q)}
-        value |= (quadratic_value(F, terms, v) not in squares) << 1
-    return value
+    try:
+        if kind.startswith(("SO", "Omega", "POmega")):
+            mask = 3 if "Omega" in kind else 1  # SO is the kernel of bit 0 alone
+            gens, elements = _kernel(perm_gens, [label & mask for label in labels],
+                                     len(points), 2 * target)
+            meta["parent_gens"] = perm_gens
+        else:
+            gens, elements = close_under_products(perm_gens, len(points), limit=2 * target)
+    except CapExceeded as exc:
+        raise DomainError(f"construction of {kind}({n},{q}) passed {exc.order} elements, "
+                          f"expected {target}") from exc
+    if len(elements) != target:
+        raise DomainError(
+            f"construction of {kind}({n},{q}) gave order {len(elements)}, expected {target}")
+    return SmallGroup(degree=len(points), gens=gens, elements=elements, meta=meta)
 
 
 def _kernel(gens: list, labels: list[int], degree: int, limit: int):
@@ -373,25 +369,6 @@ def _kernel(gens: list, labels: list[int], degree: int, limit: int):
     schreier = (perm_compose(perm_compose(t, g), perm_inverse(transversal[c ^ label]))
                 for c, t in transversal.items() for g, label in zip(gens, labels))
     return close_under_products(schreier, degree, limit=limit)
-
-
-def _dickson_invariant(F: Fq, n: int, m: Matrix) -> int:
-    """rank(m - I) mod 2: the homomorphism GO_n(q) -> Z/2 for q even, and
-    the determinant on a reflection for q odd."""
-    rows = [[F.sub(m[i * n + j], 1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, n) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = F.inv[rows[rank][col]]
-        for i in range(rank + 1, n):
-            if rows[i][col]:
-                f = F.mul[rows[i][col]][inv]
-                rows[i] = [F.sub(x, F.mul[f][y]) for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank % 2
 
 
 def _field_for(kind: str, q: int) -> Fq:

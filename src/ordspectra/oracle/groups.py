@@ -131,34 +131,19 @@ def mat_apply(F: Fq, n: int, a: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
 # forms
 
 
-def symplectic_gram(F: Fq, n: int) -> Matrix:
-    m = n // 2
-    g = [0] * (n * n)
-    for i in range(m):
-        g[i * n + (n - 1 - i)] = 1
-    for i in range(m, n):
-        g[i * n + (n - 1 - i)] = F.neg[1]
-    return tuple(g)
-
-
-def bilinear(F: Fq, n: int, gram: Matrix, x, y) -> int:
-    acc = 0
-    for i in range(n):
-        if not x[i]:
-            continue
-        row = i * n
-        for j in range(n):
-            g = gram[row + j]
-            if g and y[j]:
-                acc = F.add[acc][F.mul[F.mul[x[i]][g]][y[j]]]
-    return acc
-
-
 def hermitian_value(F: Fq, n: int, half: int, x, y) -> int:
     acc = 0
     for i in range(n):
         if x[i] and y[n - 1 - i]:
             acc = F.add[acc][F.mul[F.conj(x[i], half)][y[n - 1 - i]]]
+    return acc
+
+
+def symplectic_value(F: Fq, n: int, x, y) -> int:
+    acc = 0
+    for i in range(n // 2):
+        j = n - 1 - i
+        acc = F.add[acc][F.sub(F.mul[x[i]][y[j]], F.mul[x[j]][y[i]])]
     return acc
 
 

@@ -404,7 +404,7 @@ CLI_PINS = [
      "lie epsilon-q [-h] --family FAMILY [--d D] --q Q [--levels LEVELS]"),
     ("lie epsilon-q-fixed --family B --d 60", 3, "", "",
      "missing data: constant oss_B_90_2\n",
-     "lie epsilon-q-fixed [-h] --family FAMILY --d D [--q Q]"),
+     "lie epsilon-q-fixed [-h] --family FAMILY --d D"),
     ("lie spectrum --family A --d 2 --q 4 --semisimple", 0, "1,3,5,7\n",
      '{"orders": ["1", "3", "5", "7"]}\n', "",
      "lie spectrum [-h] --family FAMILY [--d D] --q Q [--semisimple]"),

@@ -1,9 +1,10 @@
+import itertools
 import math
 from collections import Counter
 
 import pytest
 
-from ordspectra import oracle, sym_partitions
+from ordspectra import arith, oracle, sym_partitions
 from ordspectra.errors import CapacityError, CapExceeded, DomainError
 from ordspectra.oracle import build
 from ordspectra.oracle.autos import duality_automorphism
@@ -65,7 +66,8 @@ def test_unitary_recipes_schreier_sims(kind, n, q):
     elif kind in ("Sp", "PSp"):
         mats = _sp_gens(F, n)
     else:
-        mats = orthogonal_group_gens(F, n, {"GO": 0, "GOplus": 1, "GOminus": -1}[kind])
+        sign = {"GO": 0, "GOplus": 1, "GOminus": -1}[kind]
+        mats = [m for m, _ in orthogonal_group_gens(F, n, sign)]
     projective = kind.startswith("P")
     points = projective_points(F, n) if projective else all_vectors(F, n)
     perms = matrices_to_perms(F, n, mats, points, projective)
@@ -164,6 +166,44 @@ def test_dimension_refused_before_any_work(kind, n, message):
 @pytest.mark.parametrize("kind, n, order", [("GOplus", 2, 4), ("GO", 1, 2), ("Sp", 2, 24)])
 def test_smallest_dimensions_build(get_group, kind, n, order):
     assert get_group(kind, n, 3).order == order
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_gu_1_is_the_norm_one_scalars(q):
+    assert oracle.build_classical("GU", 1, q).order == q + 1
+
+
+@pytest.mark.parametrize("kind, n, q", [("GL", 3, 2), ("SOminus", 4, 3)])
+def test_overshooting_closure_is_a_construction_bug(monkeypatch, kind, n, q):
+    """A closure that passes twice the expected order is refused as a
+    construction bug, not as a capacity limit (the kernel path too)."""
+    quarter = oracle.expected_order(kind, n, q) // 4
+    monkeypatch.setattr(build, "expected_order", lambda *args: quarter)
+    with pytest.raises(DomainError, match=rf"construction of {kind}\({n},{q}\) passed"):
+        oracle.build_classical(kind, n, q)
+
+
+def small_forms():
+    """Every (kind, n <= 8, q <= 32) of order at most 10**5 that acts on
+    at most 256 points over a field of at most 257 elements."""
+    for kind in build.KINDS:
+        even = kind in ("Sp", "PSp") or kind.endswith(("plus", "minus"))
+        odd = kind in ("GO", "SO", "Omega")  # over odd q only
+        for n, q in itertools.product(range(1, 9), range(2, 33)):
+            if (even and n % 2) or (odd and (n % 2 == 0 or q % 2 == 0)) \
+                    or arith.prime_power_split(q) is None:
+                continue
+            Q = q * q if kind in ("GU", "SU", "PSU") else q
+            points = (Q**n - 1) // (Q - 1) if kind.startswith("P") else Q**n - 1
+            if Q <= 257 and points <= 256 and build.expected_order(kind, n, q) <= 10**5:
+                yield kind, n, q
+
+
+def test_every_small_form_reaches_its_order():
+    forms = list(small_forms())
+    assert len(forms) == 364
+    for kind, n, q in forms:
+        assert oracle.build_classical(kind, n, q).order == build.expected_order(kind, n, q)
 
 
 def test_cap_exceeded():
