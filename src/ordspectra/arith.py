@@ -19,7 +19,7 @@ LN2 = math.log(2)
 #: Trial-division bound used before switching to Pollard rho.
 _TRIAL_BOUND = 100_000
 
-#: Default cap on Pollard rho iterations per factor.
+#: Cap on Pollard rho iterations per factor.
 DEFAULT_RHO_EFFORT = 2_000_000
 
 # Test-visible instrumentation: factorization work counters.
@@ -83,7 +83,7 @@ def is_prime(n: int) -> bool:
 # factorization (trial division + Pollard rho with an effort cap)
 
 
-def _pollard_rho(n: int, effort: int) -> int:
+def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite odd n, or raise CapacityError."""
     if n % 2 == 0:
         return 2
@@ -94,7 +94,7 @@ def _pollard_rho(n: int, effort: int) -> int:
         while d == 1:
             count += 1
             counters["rho_rounds"] += 1
-            if count > effort:
+            if count > DEFAULT_RHO_EFFORT:
                 break
             x = (x * x + c) % n
             y = (y * y + c) % n
@@ -102,14 +102,14 @@ def _pollard_rho(n: int, effort: int) -> int:
             d = math.gcd(abs(x - y), n)
         if 1 < d < n:
             return d
-        if count > effort:
+        if count > DEFAULT_RHO_EFFORT:
             raise CapacityError(
                 f"factorization effort cap exceeded for {n}", needed=count
             )
     raise CapacityError(f"factorization failed for {n}")
 
 
-def factorize(n: int, effort: int = DEFAULT_RHO_EFFORT) -> list[tuple[int, int]]:
+def factorize(n: int) -> list[tuple[int, int]]:
     """Prime-power decomposition of n >= 1 as sorted (prime, exponent) pairs.
 
     The product of p**k over the pairs equals n; all bases are prime.
@@ -139,7 +139,7 @@ def factorize(n: int, effort: int = DEFAULT_RHO_EFFORT) -> list[tuple[int, int]]
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        d = _pollard_rho(m, effort)
+        d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
     return sorted(factors.items())

@@ -26,16 +26,15 @@ divisor set of its exponent, so the group's semisimple order set is the
 union of divisor sets over the torus classes.
 
 For the *simple* groups the torus must be replaced by its image in the
-simple quotient: the kernel of an explicit linear character
-(determinant for SL/SU, the spinor character for the Omega groups)
-modulo an explicit central element.  Its exponent has a closed form in
-every family.  With k >= 3 cyclic blocks it is lcm(m_i): for A/2A, the
-kernel contains e_i - (+-e_j) of order lcm(m_i, m_j), and a multiple of
-it lies in the cyclic centre only if it is 0, since the centre's
-generator is nonzero in a third coordinate.  With one or two blocks the
-character and the centre cost a bounded factor (``_a_family_exponent``,
-``_bcd_family_exponent``).  Both are gated by brute-force enumeration
-and by oracle equality on every small group in the test grid.
+simple quotient: the kernel of a linear character (the determinant for
+SL/SU, the spinor norm for the Omega groups) modulo a central element.
+One rule gives its exponent in all six families (``_torus_exponent``):
+a per-family table names the character's modulus and weights and the
+centre's order, and the exponent is lcm(m_i) cut by a factor that is 1
+from three blocks on, the character's modulus times the centre's order
+for one block, and one gcd for two.  Brute-force enumeration, Smith
+normal forms and oracle equality on every small group in the test grid
+gate it.
 
 So the exact order set only needs a few tori (``_order_union``, for the
 simple groups and the ambients alike, whose exponent is the lcm at every
@@ -121,18 +120,6 @@ def _fact_value(f: Factored) -> int:
     return out
 
 
-def _fact_halve(f: Factored, times: int = 1) -> Factored:
-    out = dict(f)
-    v = out.get(2, 0)
-    if v < times:
-        raise DomainError("2-adic valuation too small to halve")
-    if v == times:
-        del out[2]
-    else:
-        out[2] = v - times
-    return out
-
-
 def _fact_divisors(f: Factored) -> Iterator[int]:
     divisors = [1]
     for p, k in f.items():
@@ -148,20 +135,18 @@ def _fact_tau(f: Factored) -> int:
     return out
 
 
-def _fact_of_int_dividing(n: int, reference: Factored) -> Factored:
-    """Factorization of n, given that n divides the value of ``reference``."""
-    out: Factored = {}
-    rest = n
-    for p in reference:
-        v = 0
-        while rest % p == 0:
-            rest //= p
-            v += 1
-        if v:
-            out[p] = v
-    if rest != 1:
-        raise DomainError("value does not divide the reference factorization")
-    return out
+def _fact_divide(f: Factored, n: int) -> Factored:
+    """The factored quotient of the value of f by n, which must divide it."""
+    if n == 1:
+        return f
+    out = dict(f)
+    for p in f:
+        while n % p == 0:
+            n //= p
+            out[p] -= 1
+    if n != 1 or min(out.values(), default=0) < 0:
+        raise DomainError("the divisor does not divide the factored value")
+    return {p: k for p, k in out.items() if k}
 
 
 @lru_cache(maxsize=None)
@@ -341,91 +326,64 @@ def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
 # torus exponents in the simple classical groups
 
 
-def _a_family_exponent(q: int, torus, twisted: bool) -> int:
-    """Exponent of the image in the simple group of a torus of type A
-    (twisted=False) or type 2A (twisted=True), whose blocks have sizes
-    summing to n = d + 1.
+def _torus_exponent(family: str, q: int, torus) -> Factored:
+    """Factored exponent of the image of a torus in the simple group.
 
-    Model: the ambient torus is the direct product of cyclic groups of
-    orders m_i = q**a_i + s_i; in coherent coordinates the determinant
-    character is sum(eps_i * x_i) mod r (r = q -/+ 1), where eps_i = 1
-    for type A and eps_i = s_i in the twisted case, +1 on odd blocks and
-    -1 on even blocks (the norm of the even-block torus factor inverts
-    the distinguished generator).  The central subgroup is generated by
-    z = (c_1, ..., c_k) with c_i = m_i/w and w = gcd(n, r).  The exponent
-    of kernel/<z> is:
+    The torus is the product of the cyclic groups C(m_i), m_i = q**a_i +
+    s_i, over its k blocks (a_i, s_i) of total size n.  Its image is
+    K/<z>: K is the kernel of chi = sum(eps_i * x_i) mod r, and z = (m_i/w),
+    of order w, is central and lies in K.  The table (q odd for B, C, D
+    and 2D; with q even they have r = w = 1):
 
-    * lcm(m_i) when r = 1 (no character, trivial centre) or k >= 3 (see
-      the module docstring);
-    * m/(r*w) when k = 1: the kernel is cyclic of order m/r and <z> has
-      order w;
-    * when k = 2, the least E that is a multiple of lcm(c_1, c_2), say
-      E = s*lcm(c_1, c_2) with 1 <= s <= w, and satisfies
-      eps_1*E/c_1 + eps_2*E/c_2 = 0 (mod w).  The kernel is generated by
-      (1, -eps_1*eps_2) and (0, r); E times the first lies in <z> exactly
-      under that condition, and E times the second is then 0, since m_2/r
-      divides c_2.
-    """
-    r = q + 1 if twisted else q - 1
-    ms = [q**a + s for a, s in torus]
-    if r == 1 or len(ms) >= 3:
-        return math.lcm(*ms)
-    w = math.gcd(sum(a for a, _ in torus), r)
-    if len(ms) == 1:
-        return ms[0] // (r * w)
-    eps = [s if twisted else 1 for _, s in torus]
-    c1, c2 = ms[0] // w, ms[1] // w
-    base = math.lcm(c1, c2)
-    return next(E for E in range(base, base * w + 1, base)
-                if (eps[0] * (E // c1) + eps[1] * (E // c2)) % w == 0)
+    * A: the determinant, r = q - 1, eps_i = 1; w = gcd(n, q - 1);
+    * 2A: the determinant, r = q + 1, eps_i = s_i (the norm of an
+      even-block factor inverts its generator); w = gcd(n, q + 1);
+    * B: the spinor norm, r = 2, eps_i = 1; w = 1;
+    * C: no character, r = 1; z = -1, w = 2;
+    * D, 2D: the spinor norm, r = 2, eps_i = 1; z = -1 and w = 2 when -1
+      lies in the spinor kernel, that is when sum(m_i/2) is even, else
+      w = 1.  As (q**a - 1)/(q - 1) = 1 + q + ... + q**(a-1) is a mod 2,
+      m_i/2 is a_i*(q - 1)/2 + (s_i == 1) mod 2, the blockwise parity of
+      the half-lattice shift.
 
-
-def _bcd_family_exponent(family: str, q: int, torus) -> Factored:
-    """Factored exponent of the simple-group image of a torus, for
-    families B, C, D, 2D.
-
-    q even: the torus embeds in the simple group unchanged (trivial
-    center, no spinor character), so the exponent is lcm(m_i).
-
-    q odd: closed forms derived from the kernel-of-character /
-    mod-central-element structure:
-
-    * B (spinor kernel) and C (mod the central involution): lcm(m_i)
-      when there are >= 2 cyclic blocks, m/2 for a single block.
-    * D/2D: both reductions apply.  Whether the central relation
-      survives into the spinor kernel depends on the parity P of the
-      half-lattice shift, computable blockwise; with P odd the result
-      matches B, with P even one extra factor of 2 (or 4 for a single
-      block) can be lost, and for exactly two blocks sharing the maximal
-      2-adic valuation the exponent is lcm/2.
-    """
+    The exponent is lcm(m_i)/cut.  From k = 3 on, cut = 1: K holds
+    e_i - eps_i*eps_j*e_j, of order lcm(m_i, m_j), and a multiple of it
+    lies in <z> only if it is 0, since t*z is 0 in a third coordinate l
+    only when w | t (m_l/w has order w).  For k = 1, cut = r*w: K is
+    cyclic of order m_1/r and <z> its subgroup of order w.  For k = 2, K
+    is generated by g = (1, -eps_1*eps_2) and h = (0, r), as x - x_1*g is
+    a multiple of h for x in K.  The exponent E divides lcm(m_1, m_2) and
+    w*E*g = 0, so E is the least lcm(m_1, m_2)/e, over e | w, that sends
+    g and h into <z>.  A pair y lies in <z> exactly when c_i = m_i/w
+    divides y_i for both i and y_1/c_1 = y_2/c_2 mod w.  With E/c_i =
+    (w/e)*L_i, L_i = lcm(m_1, m_2)/m_i, that asks e | L_1 + eps_1*eps_2*L_2
+    and e | r*L_2, so cut = gcd(w, L_1 + eps_1*eps_2*L_2, r*L_2), which is
+    1 when w = 1: then the exponent is lcm(m_1, m_2), the order of g."""
     lcm = _support_lcm(q, torus)
     k = len(torus)
-    if q % 2 == 0:
+    if k >= 3:
         return lcm
-    if family in ("B", "C"):
-        return lcm if k >= 2 else _fact_halve(lcm)
-    # D / 2D
-    half_qm1 = (q - 1) // 2
-    half_qp1 = (q + 1) // 2
-    parity = 0
-    for a, s in torus:
-        parity ^= (a * half_qm1 if s == -1 else half_qp1 + (a - 1) * half_qm1) & 1
-    if parity == 1:
-        return lcm if k >= 2 else _fact_halve(lcm)
+    # the table: the character's modulus r, the centre's order w
+    if family in ("A", "2A"):
+        r = q - 1 if family == "A" else q + 1
+        w = math.gcd(sum(a for a, _ in torus), r)
+    elif q % 2 == 0:
+        r = w = 1
+    elif family == "B":
+        r, w = 2, 1
+    elif family == "C":
+        r, w = 1, 2
+    else:
+        r, w = 2, 2 - sum((q**a + s) // 2 for a, s in torus) % 2
     if k == 1:
-        return _fact_halve(lcm, 2)
-    if k == 2 and len({dict(_factored_pm1(q, a, s)).get(2, 0) for a, s in torus}) == 1:
-        return _fact_halve(lcm)
-    return lcm
-
-
-def _torus_exponent(spec: LieSpec, torus) -> Factored:
-    """Factored exponent of the image of a torus in the simple group."""
-    if spec.family in ("A", "2A"):
-        exp = _a_family_exponent(spec.q, torus, spec.family == "2A")
-        return _fact_of_int_dividing(exp, _support_lcm(spec.q, torus))
-    return _bcd_family_exponent(spec.family, spec.q, torus)
+        return _fact_divide(lcm, r * w)
+    if w == 1:
+        return lcm
+    m1, m2 = (q**a + s for a, s in torus)
+    # eps_1*eps_2: the blocks' signs in 2A, 1 elsewhere
+    sign = torus[0][1] * torus[1][1] if family == "2A" else 1
+    g = math.gcd(m1, m2)
+    return _fact_divide(lcm, math.gcd(w, m2 // g + sign * m1 // g, r * m1 // g))
 
 
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
@@ -435,7 +393,7 @@ def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
     ``nr_semisimple_orders_bound`` are tested against."""
     size, signs, parity = _block_model(spec.family, spec.d)
     for torus, _ in _tori(size, spec.q, signs, parity):
-        yield _torus_exponent(spec, torus)
+        yield _torus_exponent(spec.family, spec.q, torus)
 
 
 #: k -> k + 1, the factor of a prime with exponent k in a divisor count
@@ -649,7 +607,7 @@ def _order_union(family: str, d: int, q: int, exponent) -> _DivisorUnion:
 
 
 def _simple_order_union(spec: LieSpec) -> _DivisorUnion:
-    return _order_union(spec.family, spec.d, spec.q, partial(_torus_exponent, spec))
+    return _order_union(spec.family, spec.d, spec.q, partial(_torus_exponent, spec.family, spec.q))
 
 
 def semisimple_orders_simple(spec: LieSpec) -> OrderSet:
@@ -683,7 +641,7 @@ def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     pair = _level_one_pass(size, signs, q)
     total = sum(pair) if parity is None else pair[parity]
     for torus, _ in _tori(size, q, signs, parity, most=2):
-        total += _fact_tau(_torus_exponent(spec, torus)) - _fact_tau(_support_lcm(q, torus))
+        total += _fact_tau(_torus_exponent(spec.family, q, torus)) - _fact_tau(_support_lcm(q, torus))
     return total
 
 

@@ -183,11 +183,15 @@ def test_count_examples():
 # independent brute-force check of the simple-torus exponents
 
 
-def brute_quotient_exponent(ms, char_mod, center):
-    """Exponent of {x in prod C_m : sum x_i = 0 mod char_mod} / <center>,
-    by direct enumeration (small cases only)."""
+def brute_quotient_exponent(ms, char_mod, center, eps=None):
+    """Exponent of {x in prod C_m : sum(eps_i * x_i) = 0 mod char_mod} /
+    <center>, eps_i = 1 unless given, by enumerating every element (small
+    cases only).  The order of x is the least t with t*x in <center>: t
+    divides the order o of x in the product, and o divides |<center>|*t,
+    so t = o/j for the largest j with (o/j)*x in <center>."""
     total = math.prod(ms)
     assert total <= 400_000
+    eps = eps or [1] * len(ms)
     center_subgroup = set()
     z = tuple(0 for _ in ms)
     while True:
@@ -197,14 +201,12 @@ def brute_quotient_exponent(ms, char_mod, center):
             break
     exponent = 1
     for combo in product(*[range(m) for m in ms]):
-        if char_mod > 1 and sum(combo) % char_mod:
+        if sum(e * x for e, x in zip(eps, combo)) % char_mod:
             continue
-        order = 1
-        current = combo
-        while not (current in center_subgroup):
-            current = tuple((a + b) % m for a, b, m in zip(current, combo, ms))
-            order += 1
-        exponent = exponent * order // math.gcd(exponent, order)
+        o = math.lcm(*(m // math.gcd(x, m) for x, m in zip(combo, ms)))
+        order = next(o // j for j in range(len(center_subgroup), 0, -1) if o % j == 0
+                     and tuple(o // j * x % m for x, m in zip(combo, ms)) in center_subgroup)
+        exponent = math.lcm(exponent, order)
     return exponent
 
 
@@ -218,32 +220,7 @@ def test_a_family_exponents_against_enumeration():
                 continue
             center = tuple(m // w for m in ms)
             expected = brute_quotient_exponent(ms, r, center)
-            assert ts._a_family_exponent(q, torus, twisted=False) == expected, (n, q, torus)
-
-
-def brute_signed_quotient_exponent(ms, eps, r, center):
-    """Like brute_quotient_exponent but with the signed determinant
-    character sum(eps_i x_i) mod r."""
-    total = math.prod(ms)
-    assert total <= 400_000
-    center_subgroup = set()
-    z = tuple(0 for _ in ms)
-    while True:
-        center_subgroup.add(z)
-        z = tuple((a + b) % m for a, b, m in zip(z, center, ms))
-        if z == tuple(0 for _ in ms):
-            break
-    exponent = 1
-    for combo in product(*[range(m) for m in ms]):
-        if sum(e * x for e, x in zip(eps, combo)) % r:
-            continue
-        order = 1
-        current = combo
-        while current not in center_subgroup:
-            current = tuple((a + b) % m for a, b, m in zip(current, combo, ms))
-            order += 1
-        exponent = exponent * order // math.gcd(exponent, order)
-    return exponent
+            assert ts._fact_value(ts._torus_exponent("A", q, torus)) == expected, (n, q, torus)
 
 
 def test_2a_family_exponents_against_enumeration():
@@ -256,8 +233,8 @@ def test_2a_family_exponents_against_enumeration():
             if math.prod(ms) > 400_000:
                 continue
             center = tuple(m // w for m in ms)
-            expected = brute_signed_quotient_exponent(ms, eps, r, center)
-            assert ts._a_family_exponent(q, torus, twisted=True) == expected, (n, q, torus)
+            expected = brute_quotient_exponent(ms, r, center, eps)
+            assert ts._fact_value(ts._torus_exponent("2A", q, torus)) == expected, (n, q, torus)
 
 
 def brute_bcd_exponent(family, q, plus, minus):
@@ -271,8 +248,9 @@ def brute_bcd_exponent(family, q, plus, minus):
         return brute_quotient_exponent(ms, 1, center)
     if family == "B":
         return brute_quotient_exponent(ms, 2, tuple(0 for _ in ms))
-    # D / 2D: spinor kernel, with the central relation present only when
-    # the half-lattice shift has even coordinate sum
+    # D / 2D: spinor kernel, modulo -1 only when -1 lies in it, that is
+    # when the half-lattice shift has even coordinate sum: a blockwise
+    # parity, independent of the sum(m_i/2) that _torus_exponent reads
     half_qm1 = (q - 1) // 2
     half_qp1 = (q + 1) // 2
     parity = 0
@@ -287,10 +265,10 @@ def brute_bcd_exponent(family, q, plus, minus):
 
 def test_bcd_exponents_against_enumeration():
     for family, d_range, qs in [
-        ("B", (1, 2, 3), (2, 3, 5)),
-        ("C", (1, 2, 3), (3, 5, 9)),
-        ("D", (2, 3, 4), (2, 3, 5)),
-        ("2D", (2, 3, 4), (3, 5)),
+        ("B", (1, 2, 3), (2, 3, 5, 7, 9)),
+        ("C", (1, 2, 3), (3, 5, 7, 9)),
+        ("D", (2, 3, 4), (2, 3, 5, 7, 9)),
+        ("2D", (2, 3, 4), (3, 5, 7, 9)),
     ]:
         for d in d_range:
             for q in qs:
@@ -300,7 +278,7 @@ def test_bcd_exponents_against_enumeration():
                     ms = [q**a - 1 for a in plus] + [q**b + 1 for b in minus]
                     if math.prod(ms) > 400_000 or not ms:
                         continue
-                    got = ts._fact_value(ts._bcd_family_exponent(family, q, torus))
+                    got = ts._fact_value(ts._torus_exponent(family, q, torus))
                     want = brute_bcd_exponent(family, q, plus, minus)
                     assert got == want, (family, d, q, torus)
 
@@ -322,6 +300,30 @@ def test_go_formulas_match_oracle(get_group):
         p = group.meta["field"].p
         expected = oracle.semisimple_orders(group, p)
         assert formula().values == expected.values, (kind, n, q)
+
+
+#: (family, d, Q) and the oracle group of that simple type, for odd q
+#: where the spinor character or the central -1 changes an exponent
+ODD_Q_ORACLE_GRID = [
+    ("2D", 2, 9, ("POmegaminus", 4, 3)),
+    ("2D", 2, 25, ("POmegaminus", 4, 5)),
+    ("D", 2, 3, ("POmegaplus", 4, 3)),
+    ("D", 2, 5, ("POmegaplus", 4, 5)),
+    ("B", 1, 3, ("Omega", 3, 3)),
+    ("B", 1, 5, ("Omega", 3, 5)),
+    ("B", 2, 3, ("Omega", 5, 3)),
+    *[("C", 1, q, ("PSp", 2, q)) for q in (5, 7, 9, 11, 13)],
+    ("C", 2, 3, ("PSp", 4, 3)),
+]
+
+
+def test_odd_q_exponents_match_oracle(get_group):
+    from ordspectra import oracle
+
+    for family, d, Q, (kind, n, q) in ODD_Q_ORACLE_GRID:
+        spec = lc.make_spec(family, d, Q)
+        expected = oracle.semisimple_orders(get_group(kind, n, q), spec.p)
+        assert ts.semisimple_orders_simple(spec).values == expected.values, (family, d, Q)
 
 
 def test_suzuki_spectrum():
@@ -409,7 +411,9 @@ def test_a_family_exponent_matches_smith_form():
                 w = math.gcd(n, q + 1 if twisted else q - 1)
                 for torus in model_tori("2A" if twisted else "A", n - 1):
                     want = smith_lattice_exponent(n, q, [a for a, _ in torus], twisted)
-                    assert ts._a_family_exponent(q, torus, twisted) == want, (n, q, torus, twisted)
+                    family = "2A" if twisted else "A"
+                    got = ts._fact_value(ts._torus_exponent(family, q, torus))
+                    assert got == want, (n, q, torus, twisted)
                     nontrivial_centre += w > 1
     assert nontrivial_centre > 1000
 
@@ -509,7 +513,7 @@ def support_walk_union(spec):
     size, signs, parity = ts._block_model(spec.family, spec.d)
     exponents = {}
     for torus, _ in ts._tori(size, spec.q, signs, parity, most=2):
-        exponent = ts._torus_exponent(spec, torus)
+        exponent = ts._torus_exponent(spec.family, spec.q, torus)
         exponents[ts._fact_value(exponent)] = exponent
     for support, _, lcm in supports(size, spec.q, signs, parity):
         if lcm not in exponents:
@@ -529,7 +533,7 @@ def test_bound_matches_support_walk(family):
         for d in range(2 if family in ("D", "2D") else 1, 17):
             spec = lc.make_spec(family, d, Q)
             size, signs, parity = ts._block_model(family, d)
-            total = sum(ts._fact_tau(ts._torus_exponent(spec, torus))
+            total = sum(ts._fact_tau(ts._torus_exponent(family, spec.q, torus))
                         for torus, _ in ts._tori(size, spec.q, signs, parity, most=2))
             for support, count, _ in supports(size, spec.q, signs, parity):
                 total += count * ts._fact_tau(ts._support_lcm(spec.q, support))
@@ -698,7 +702,7 @@ def test_merge_lemma():
             for torus in tori:
                 if len(torus) < 4:
                     continue
-                exponent = ts._fact_value(ts._torus_exponent(spec, torus))
+                exponent = ts._fact_value(ts._torus_exponent(family, spec.q, torus))
                 for a, s in set(torus):
                     if torus.count((a, s)) < 2:
                         continue
@@ -707,7 +711,7 @@ def test_merge_lemma():
                     rest.remove((a, s))
                     merged = tuple(sorted(rest + [(2 * a, -1)], key=lambda b: (-b[0], b[1])))
                     assert merged in tori, (family, d, torus)
-                    merged_exponent = ts._fact_value(ts._torus_exponent(spec, merged))
+                    merged_exponent = ts._fact_value(ts._torus_exponent(family, spec.q, merged))
                     assert merged_exponent % exponent == 0, (family, d, q, torus)
                     merged_tori += 1
     assert merged_tori > 50_000
