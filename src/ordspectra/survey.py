@@ -247,10 +247,13 @@ def _valid_Q_values(family: str, q0: int) -> list[int]:
 def _specs(q0: Q0Table, kinds):
     """The groups named by the q0 rows whose keys are of type ``kinds``
     (int: a classical rank, str: an exceptional family), leaving out the
-    flagged (non-simple) parameter points."""
-    for key, cutoff in sorted(q0.rows.items(), key=str):
-        if not isinstance(key, kinds):
-            continue
+    flagged (non-simple) parameter points.  The ranks come from the
+    highest down, so that the first level-1 pass per block model and q
+    is the largest and serves every lower rank."""
+    keys = [key for key in q0.rows if isinstance(key, kinds)]
+    ranks = sorted((key for key in keys if isinstance(key, int)), reverse=True)
+    for key in ranks + sorted(key for key in keys if isinstance(key, str)):
+        cutoff = q0.rows[key]
         if isinstance(key, int):
             points = [(family, key, q ** row.t)
                       for q in prime_powers_below(cutoff)

@@ -30,9 +30,10 @@ simple quotient: the kernel of a linear character (the determinant for
 SL/SU, the spinor norm for the Omega groups) modulo a central element.
 One rule gives its exponent in all six families (``_torus_exponent``):
 a per-family table names the character's modulus and weights and the
-centre's order, and the exponent is lcm(m_i) cut by a factor that is 1
-from three blocks on, the character's modulus times the centre's order
-for one block, and one gcd for two.  Brute-force enumeration, Smith
+centre's order, and the exponent is lcm(m_i) cut by a factor
+(``_torus_cut``) that is 1 from three blocks on, the character's modulus
+times the part of the centre inside the kernel for one block, and one
+gcd for two.  Brute-force enumeration, Smith
 normal forms and oracle equality on every small group in the test grid
 gate it.
 
@@ -53,17 +54,20 @@ expands the same bitmaps.  A dominated exponent costs one OR.  Which
 primes are dense changes only the speed, never the union.  The level-1
 bound sums the divisor count of every torus instead, without listing
 the tori: a forward dynamic program over the block kinds
-(``_tau_lcm_sum``) sums tau(lcm), merging the partial tori that agree
+(``_tau_lcm_sums``) sums tau(lcm), merging the partial tori that agree
 on the size still to fill and on the lcm's exponents at the primes a
 later kind can still raise.  It returns the pair (even, odd), the sums
-over the tori with an even and an odd number of +1 blocks: every +1
-kind flips the pair, which only moves a torus from one sum to the
-other, so even + odd is the sum over every torus.  D reads the even
-half, 2D the odd half and A, 2A, B and C the sum, so one pass, cached
-per process by model size, signs and q (``_level_one_pass``), serves
-B_d(q), C_d(q), D_d(q) and 2D_d(q**2).  The tori with one or two blocks
-(``_tori`` cut to two blocks) then trade tau(lcm) for the divisor count
-of their simple-group exponent, per family.
+over the tori with an even and an odd number of +1 blocks, for every
+total size up to the model's: every +1 kind flips the pair, which only
+moves a torus from one sum to the other, so even + odd is the sum over
+every torus, and a partial torus that no later kind fits is a finished
+torus of a smaller total.  D reads the even half, 2D the odd half and
+A, 2A, B and C the sum, so one pass per block model and q, kept per
+process at the largest size asked for (``_level_one_pass``), serves
+B_d(q), C_d(q), D_d(q) and 2D_d(q**2) at every rank up to its size.
+The tori with one or two blocks (``_tori`` cut to two blocks) then
+trade tau(lcm) for the divisor count of their simple-group exponent,
+per family, where the cut is not 1.
 
 Exceptional families sit behind a provider: the Suzuki family ships
 natively, the others are looked up in ingested spectrum data.
@@ -326,64 +330,66 @@ def smith_diagonal(rows: list[list[int]], ncols: int) -> list[int]:
 # torus exponents in the simple classical groups
 
 
-def _torus_exponent(family: str, q: int, torus) -> Factored:
-    """Factored exponent of the image of a torus in the simple group.
+def _torus_cut(family: str, q: int, torus) -> int:
+    """The factor that cuts lcm(m_i) down to the exponent of the image of
+    a torus in the simple group (``_torus_exponent``).
 
     The torus is the product of the cyclic groups C(m_i), m_i = q**a_i +
     s_i, over its k blocks (a_i, s_i) of total size n.  Its image is
-    K/<z>: K is the kernel of chi = sum(eps_i * x_i) mod r, and z = (m_i/w),
-    of order w, is central and lies in K.  The table (q odd for B, C, D
-    and 2D; with q even they have r = w = 1):
+    K/(K & <z>): K is the kernel of chi = sum(eps_i * x_i) mod r, and z =
+    (m_i/w), of order w, is central.  The table (q odd for B, C, D and
+    2D; with q even they have r = w = 1):
 
     * A: the determinant, r = q - 1, eps_i = 1; w = gcd(n, q - 1);
     * 2A: the determinant, r = q + 1, eps_i = s_i (the norm of an
       even-block factor inverts its generator); w = gcd(n, q + 1);
     * B: the spinor norm, r = 2, eps_i = 1; w = 1;
     * C: no character, r = 1; z = -1, w = 2;
-    * D, 2D: the spinor norm, r = 2, eps_i = 1; z = -1 and w = 2 when -1
-      lies in the spinor kernel, that is when sum(m_i/2) is even, else
-      w = 1.  As (q**a - 1)/(q - 1) = 1 + q + ... + q**(a-1) is a mod 2,
-      m_i/2 is a_i*(q - 1)/2 + (s_i == 1) mod 2, the blockwise parity of
-      the half-lattice shift.
+    * D, 2D: the spinor norm, r = 2, eps_i = 1; z = -1, w = 2.
 
-    The exponent is lcm(m_i)/cut.  From k = 3 on, cut = 1: K holds
-    e_i - eps_i*eps_j*e_j, of order lcm(m_i, m_j), and a multiple of it
-    lies in <z> only if it is 0, since t*z is 0 in a third coordinate l
-    only when w | t (m_l/w has order w).  For k = 1, cut = r*w: K is
-    cyclic of order m_1/r and <z> its subgroup of order w.  For k = 2, K
-    is generated by g = (1, -eps_1*eps_2) and h = (0, r), as x - x_1*g is
-    a multiple of h for x in K.  The exponent E divides lcm(m_1, m_2) and
-    w*E*g = 0, so E is the least lcm(m_1, m_2)/e, over e | w, that sends
-    g and h into <z>.  A pair y lies in <z> exactly when c_i = m_i/w
-    divides y_i for both i and y_1/c_1 = y_2/c_2 mod w.  With E/c_i =
-    (w/e)*L_i, L_i = lcm(m_1, m_2)/m_i, that asks e | L_1 + eps_1*eps_2*L_2
-    and e | r*L_2, so cut = gcd(w, L_1 + eps_1*eps_2*L_2, r*L_2), which is
-    1 when w = 1: then the exponent is lcm(m_1, m_2), the order of g."""
-    lcm = _support_lcm(q, torus)
+    From k = 3 on, cut = 1: K holds e_i - eps_i*eps_j*e_j, of order
+    lcm(m_i, m_j), and a multiple of it lies in <z> only if it is 0,
+    since t*z is 0 in a third coordinate l only when w | t (m_l/w has
+    order w).  For k = 1, cut = r*gcd(w, m_1/r): K is the subgroup of
+    order m_1/r of the cyclic C(m_1), <z> its subgroup of order w, and
+    they meet in the subgroup of order gcd(w, m_1/r).  In A, 2A, B and C
+    that gcd is w (in A, m_1/r = 1 + q + ... + q**(n-1) is n mod q - 1,
+    and so in 2A with -q), while in D and 2D it is 1 exactly when -1 is
+    outside the spinor kernel, m_1/2 odd.  For k = 2, K is generated by
+    g = (1, -eps_1*eps_2) and h = (0, r), as x - x_1*g is a multiple of h
+    for x in K.  The exponent E is the least that sends g and h into <z>
+    (E*g and E*h lie in K, so into K & <z>).  E divides lcm(m_1, m_2) and
+    w*E*g = 0, so E is the least lcm(m_1, m_2)/e, over e | w, that does.
+    A pair y lies in <z> exactly when c_i = m_i/w divides y_i for both i
+    and y_1/c_1 = y_2/c_2 mod w.  With E/c_i = (w/e)*L_i, L_i = lcm(m_1,
+    m_2)/m_i, that asks e | L_1 + eps_1*eps_2*L_2 and e | r*L_2, so cut =
+    gcd(w, L_1 + eps_1*eps_2*L_2, r*L_2), which is 1 when w = 1: then the
+    exponent is lcm(m_1, m_2), the order of g."""
     k = len(torus)
     if k >= 3:
-        return lcm
+        return 1
     # the table: the character's modulus r, the centre's order w
     if family in ("A", "2A"):
         r = q - 1 if family == "A" else q + 1
         w = math.gcd(sum(a for a, _ in torus), r)
     elif q % 2 == 0:
         r = w = 1
-    elif family == "B":
-        r, w = 2, 1
-    elif family == "C":
-        r, w = 1, 2
     else:
-        r, w = 2, 2 - sum((q**a + s) // 2 for a, s in torus) % 2
+        r, w = {"B": (2, 1), "C": (1, 2)}.get(family, (2, 2))
     if k == 1:
-        return _fact_divide(lcm, r * w)
-    if w == 1:
-        return lcm
+        (a, s), = torus
+        return r * math.gcd(w, (q**a + s) // r)
     m1, m2 = (q**a + s for a, s in torus)
     # eps_1*eps_2: the blocks' signs in 2A, 1 elsewhere
     sign = torus[0][1] * torus[1][1] if family == "2A" else 1
     g = math.gcd(m1, m2)
-    return _fact_divide(lcm, math.gcd(w, m2 // g + sign * m1 // g, r * m1 // g))
+    return math.gcd(w, m2 // g + sign * m1 // g, r * m1 // g)
+
+
+def _torus_exponent(family: str, q: int, torus) -> Factored:
+    """Factored exponent of the image of a torus in the simple group:
+    lcm(m_i) over its blocks, cut by ``_torus_cut``."""
+    return _fact_divide(_support_lcm(q, torus), _torus_cut(family, q, torus))
 
 
 def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
@@ -400,14 +406,15 @@ def _simple_torus_exponents(spec: LieSpec) -> Iterator[Factored]:
 _plus_one = (1).__add__
 
 
-def _tau_lcm_sum(size: int, kinds: list[tuple[int, int, Factored]]) -> tuple[int, int]:
-    """(even, odd): the sums of tau(lcm) over the tori of size ``size``
-    with an even and with an odd number of +1 blocks, tau(lcm) being the
-    divisor count of the lcm of their factors.  ``kinds`` lists the
-    blocks in descending size, each as (a, s, factored q**a + s); a torus
-    takes j >= 0 copies of each kind.  Every +1 kind flips the pair: a
-    flip only moves a torus from one sum to the other, so even + odd is
-    the sum over every torus whichever kinds flip.
+def _tau_lcm_sums(size: int, kinds: list[tuple[int, int, Factored]]) -> list[tuple[int, int]]:
+    """[(even, odd)] for every total u = 0..size: the sums of tau(lcm)
+    over the tori of size u with an even and with an odd number of +1
+    blocks, tau(lcm) being the divisor count of the lcm of their
+    factors.  ``kinds`` lists the blocks in descending size, each as (a,
+    s, factored q**a + s); a torus takes j >= 0 copies of each kind.
+    Every +1 kind flips the pair: a flip only moves a torus from one sum
+    to the other, so even + odd is the sum over every torus whichever
+    kinds flip.
 
     A forward dynamic program over the kinds.  A state is a prefix of
     the kinds with its multiplicities fixed, reduced to (rest, the
@@ -432,8 +439,17 @@ def _tau_lcm_sum(size: int, kinds: list[tuple[int, int, Factored]]) -> tuple[int
 
     A state is filed under the next kind that fits its rest,
     max(i + 1, first[rest]): the kinds between are larger than the rest
-    and leave it alone.  Exponents are bytes, so one above 255 raises
-    ``CapacityError``."""
+    and leave it alone.  A state that no later kind fits, its rest 0
+    among them, is finished: it adds to the sums of total size - rest.
+
+    Why one pass gives every total.  Each multiset of kinds with total
+    u <= size is exactly one path through the states, and that path
+    ends where no later kind fits, with rest size - u.  A torus of size
+    u only takes kinds of size at most u, and within a block model the
+    signs a block size takes do not depend on the model's size (A: -1;
+    2A: -(-1)**a; B/C/D/2D: both), so the entry for u is the pass that
+    the model at size u alone would make.  Exponents are bytes, so one
+    above 255 raises ``CapacityError``."""
     last: dict[int, int] = {}
     for i, (_, _, f) in enumerate(kinds):
         for p, k in f.items():
@@ -459,20 +475,20 @@ def _tau_lcm_sum(size: int, kinds: list[tuple[int, int, Factored]]) -> tuple[int
     # filed[i]: {(rest, live exponents): [even, odd]} of the states kind i comes to next
     filed: list[dict[tuple[int, bytes], list[int]]] = [{} for _ in kinds]
     filed[0][size, bytes(live[0])] = [1, 0]
-    done = [0, 0]
+    # done[u]: [even, odd] of the finished tori of total u
+    done = [[0, 0] for _ in range(size + 1)]
     for i, (a, s, _) in enumerate(kinds):
         for (rest, exponents), (even, odd) in filed[i].items():
             raised = bytes(map(max, exponents, raise_by[i]))
             for j in range(rest // a + 1):
                 left, vector = rest - j * a, raised if j else exponents
                 e, o = (odd, even) if s == 1 and j % 2 else (even, odd)
-                if left == 0:
-                    tau = math.prod(map(_plus_one, vector))
-                    done[0] += e * tau
-                    done[1] += o * tau
-                    continue
                 k = max(i + 1, first[left])
                 if k == len(kinds):
+                    tau = math.prod(map(_plus_one, vector))
+                    sums = done[size - left]
+                    sums[0] += e * tau
+                    sums[1] += o * tau
                     continue
                 cut = live[k]
                 if len(vector) > cut:
@@ -482,16 +498,29 @@ def _tau_lcm_sum(size: int, kinds: list[tuple[int, int, Factored]]) -> tuple[int
                 weight[0] += e
                 weight[1] += o
         filed[i] = {}
-    return done[0], done[1]
+    return [(even, odd) for even, odd in done]
 
 
-@lru_cache(maxsize=None)
+#: (block model, q) -> ``_tau_lcm_sums`` of the model at q, up to the
+#: largest size asked for so far in this process
+_level_one_sums: dict[tuple[str, int], list[tuple[int, int]]] = {}
+
+#: the block models, named by the signs a block of size 1 takes
+_MODEL_OF_SIGNS = {(-1,): "A", (1,): "2A", (-1, 1): "B/C/D/2D"}
+
+
 def _level_one_pass(size: int, signs: tuple[tuple[int, ...], ...], q: int) -> tuple[int, int]:
-    """``_tau_lcm_sum`` over the blocks of a model at q, once per process:
-    B_d(q), C_d(q), D_d(q) and 2D_d(q**2) share the model and q, and each
-    reads its half of the pair or the sum."""
-    return _tau_lcm_sum(size, [(a, s, dict(_factored_pm1(q, a, s)))
-                               for a in range(size, 0, -1) for s in signs[a]])
+    """The level-1 pair of a block model at ``size`` and q.  One pass per
+    model and q serves every size up to its own: B_d(q), C_d(q), D_d(q)
+    and 2D_d(q**2) share the model and q, each reading its half of the
+    pair or the sum, and so does every lower rank.  A larger size runs
+    the pass again and replaces the entry."""
+    key = _MODEL_OF_SIGNS[signs[1]], q
+    sums = _level_one_sums.get(key, [])
+    if len(sums) <= size:
+        kinds = [(a, s, dict(_factored_pm1(q, a, s))) for a in range(size, 0, -1) for s in signs[a]]
+        sums = _level_one_sums[key] = _tau_lcm_sums(size, kinds)
+    return sums[size]
 
 
 class _DivisorUnion:
@@ -632,8 +661,8 @@ def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     tau(lcm) over every torus without listing them, split by the parity
     of the number of +1 blocks, and the family reads its half or the
     total; the lcm is the simple-group exponent from three blocks on, so
-    each torus with one or two blocks then trades tau(lcm) for tau(its
-    exponent)."""
+    each torus with one or two blocks whose cut is not 1 then trades
+    tau(lcm) for tau(its exponent)."""
     if spec.family in EXCEPTIONAL_RANK:
         return len(exceptional_semisimple(spec))
     size, signs, parity = _block_model(spec.family, spec.d)
@@ -641,7 +670,10 @@ def nr_semisimple_orders_bound(spec: LieSpec) -> int:
     pair = _level_one_pass(size, signs, q)
     total = sum(pair) if parity is None else pair[parity]
     for torus, _ in _tori(size, q, signs, parity, most=2):
-        total += _fact_tau(_torus_exponent(spec.family, q, torus)) - _fact_tau(_support_lcm(q, torus))
+        cut = _torus_cut(spec.family, q, torus)
+        if cut > 1:
+            lcm = _support_lcm(q, torus)
+            total += _fact_tau(_fact_divide(lcm, cut)) - _fact_tau(lcm)
     return total
 
 

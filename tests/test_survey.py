@@ -2,6 +2,7 @@ import mpmath
 import pytest
 
 from ordspectra import bounds, survey
+from ordspectra import torus_spectra as ts
 from ordspectra.class_numbers import ClassNumberProvider
 from ordspectra.errors import DataMissing, DomainError, NotAvailable
 from ordspectra.survey import (
@@ -259,6 +260,29 @@ def test_exceptions_golden(store):
         table, thresholds, store.class_numbers, store.spectra)) == _GOLDEN_Q_CLASSICAL
     assert _as_tuples(survey.exceptions_q_exceptional(
         table, thresholds, store.class_numbers, store.spectra)) == _GOLDEN_Q_EXCEPTIONAL
+
+
+# the second table lists rank 3 before rank 9, in key order and as strings
+@pytest.mark.parametrize("rows", [_GOLDEN_TABLE, {3: 4, 9: 4}])
+def test_q_classical_search_runs_one_level_one_pass_per_model_and_q(store, monkeypatch,
+                                                                   level_one_passes, rows):
+    """The search asks for the highest rank first, so the level-1 pass
+    runs once per block model and q, at the largest size the table asks
+    for, and serves every lower rank."""
+    asked = {}
+    level_one_pass = ts._level_one_pass
+
+    def recorded(size, signs, q):
+        key = ts._MODEL_OF_SIGNS[signs[1]], q
+        asked[key] = max(asked.get(key, 0), size)
+        return level_one_pass(size, signs, q)
+
+    monkeypatch.setattr(ts, "_level_one_pass", recorded)
+    survey.exceptions_q_classical(Q0Table(rows=rows), make_thresholds(monster_constants()),
+                                  store.class_numbers, store.spectra)
+    assert asked
+    assert {key: len(sums) - 1 for key, sums in ts._level_one_sums.items()} == asked
+    assert sorted(level_one_passes) == sorted(asked.values())
 
 
 def test_epsilon_q_searches_propagate_programming_errors(store, monkeypatch):

@@ -250,7 +250,7 @@ def brute_bcd_exponent(family, q, plus, minus):
         return brute_quotient_exponent(ms, 2, tuple(0 for _ in ms))
     # D / 2D: spinor kernel, modulo -1 only when -1 lies in it, that is
     # when the half-lattice shift has even coordinate sum: a blockwise
-    # parity, independent of the sum(m_i/2) that _torus_exponent reads
+    # parity, independent of the gcd with m_i/2 that _torus_cut takes
     half_qm1 = (q - 1) // 2
     half_qp1 = (q + 1) // 2
     parity = 0
@@ -545,25 +545,67 @@ def test_tau_lcm_sum_refuses_exponents_past_a_byte():
     the prime and the exponent; one that fits is summed."""
     kinds = [(2, -1, {3: 256}), (1, -1, {2: 1})]
     with pytest.raises(CapacityError, match="exponent 256 of the prime 3"):
-        ts._tau_lcm_sum(2, kinds)
+        ts._tau_lcm_sums(2, kinds)
     # tori (2) and (1, 1): tau(3**255) + tau(2)
     kinds[0] = (2, -1, {3: 255})
-    assert sum(ts._tau_lcm_sum(2, kinds)) == 256 + 2
+    assert sum(ts._tau_lcm_sums(2, kinds)[2]) == 256 + 2
 
 
-def test_level_one_pass_is_shared():
-    """B_d(q), C_d(q), D_d(q) and 2D_d(q**2) read one cached pass, and each
-    bound is the per-torus sum whatever the cache held before it."""
-    specs = [lc.make_spec(family, 6, twisted_q(family, 3)) for family in ("B", "C", "D", "2D")]
-    want = [sum(map(ts._fact_tau, ts._simple_torus_exponents(spec))) for spec in specs]
-    ts._level_one_pass.cache_clear()
-    assert [ts.nr_semisimple_orders_bound(spec) for spec in specs] == want
-    assert ts._level_one_pass.cache_info().misses == 1
-    ts._level_one_pass.cache_clear()
-    assert [ts.nr_semisimple_orders_bound(spec) for spec in reversed(specs)] == want[::-1]
-    for spec, bound in zip(specs, want):
-        ts._level_one_pass.cache_clear()
+@pytest.mark.parametrize("family", ["A", "2A", "B"])
+def test_tau_lcm_sums_match_per_torus_sums(family):
+    """Entry u of one pass of the A, 2A or B/C/D/2D model is the sum of
+    tau(lcm) over the tori of total u, split by the parity of the number
+    of +1 blocks."""
+    size = 12
+    _, signs, _ = ts._block_model(family, size)
+    for q in (2, 3, 4, 5):
+        kinds = [(a, s, dict(ts._factored_pm1(q, a, s)))
+                 for a in range(size, 0, -1) for s in signs[a]]
+        sums = ts._tau_lcm_sums(size, kinds)
+        assert len(sums) == size + 1
+        for u in range(size + 1):
+            want = [0, 0]
+            for torus, _ in ts._tori(u, q, signs, None):
+                want[sum(s == 1 for _, s in torus) % 2] += ts._fact_tau(ts._support_lcm(q, torus))
+            assert sums[u] == tuple(want), (family, q, u)
+
+
+def test_level_one_pass_is_shared(level_one_passes):
+    """One cached pass serves B_d(q), C_d(q), D_d(q), 2D_d(q**2) and every
+    lower rank, and each bound is the per-torus sum whatever the cache
+    held before it."""
+    want = {}
+    for d in range(2, 7):
+        for family in ("B", "C", "D", "2D"):
+            spec = lc.make_spec(family, d, twisted_q(family, 3))
+            want[spec] = sum(map(ts._fact_tau, ts._simple_torus_exponents(spec)))
+    highest_first = sorted(want, key=lambda spec: -spec.d)
+    assert [ts.nr_semisimple_orders_bound(spec) for spec in highest_first] == \
+        [want[spec] for spec in highest_first]
+    assert level_one_passes == [6]
+    assert {key: len(sums) - 1 for key, sums in ts._level_one_sums.items()} == {("B/C/D/2D", 3): 6}
+    # lowest rank first: each larger rank runs the pass again
+    ts._level_one_sums.clear()
+    level_one_passes.clear()
+    assert [ts.nr_semisimple_orders_bound(spec) for spec in reversed(highest_first)] == \
+        [want[spec] for spec in reversed(highest_first)]
+    assert level_one_passes == [2, 3, 4, 5, 6]
+    for spec, bound in want.items():
+        ts._level_one_sums.clear()
         assert ts.nr_semisimple_orders_bound(spec) == bound
+
+
+def test_level_one_pins_from_the_top_rank_down(level_one_passes):
+    """Replayed from rank 40 down, the pinned bounds take one pass per
+    block model and q: the rank-40 pass serves ranks 30-39."""
+    for d in range(40, 29, -1):
+        for (family, Q), bounds in LEVEL_ONE_BOUNDS.items():
+            spec = lc.make_spec(family, d, Q)
+            assert ts.nr_semisimple_orders_bound(spec) == bounds[d], (family, d, Q)
+    # B/3, C/3 and 2D/9 share the model and q = 3; D/2 has q = 2
+    assert level_one_passes == [40, 40]
+    assert {key: len(sums) - 1 for key, sums in ts._level_one_sums.items()} == \
+        {("B/C/D/2D", 3): 40, ("B/C/D/2D", 2): 40}
 
 
 def test_b_equals_c_level_one():
