@@ -1,20 +1,46 @@
 """Uniform epsilon lower bounds and candidate-exception searches.
 
-The displayed expressions are evaluated at 50 decimal digits.  Sign
-decisions that determine a typed Undefined result are made exactly
+The displayed expressions are evaluated in binary fixed point: an int v
+stands for the real v / 2**176, so one unit u = 2**-176 is about 1e-53,
+finer than 50 decimal digits.  Sums and products by integers are exact;
+a quotient, a product of two reals, a sqrt and an ln each round once, by
+less than 2u (ln works 32 bits finer and rounds at the end, which holds
+for arguments below 2**(2**20)).  That error is absolute, and ln turns
+an absolute error a in its argument x into an error of about a/x.
+Every ln argument is of one of three kinds:
+
+* an integer of at least 1, which is exact;
+* ``inner``: a sum of at most a dozen rounded terms, each built from at
+  most d times a few rounded values, so off by less than 2**10 d u.  It
+  has passed the 1e-20 guard band, so x >= 1e-20 and its ln is off by
+  less than 2**10 d u * 1e20 < d * 2e-30;
+* ``arg``: a quotient q**d / D, where each factor of D is an integer or
+  a rounded real of at least 1, so arg is off by less than 2**6 u
+  relative.  ``arg - 1`` has passed the guard band, so ln(arg) is at
+  least 1e-20 / 2 and off by less than 2**7 u, and ln(ln(arg)) is off by
+  less than 2**8 u * 1e20 < 1e-30.
+
+Each display is a ratio of two such logs, of size at most 50, whose
+denominator is at least 1/2, so it lies within d * 1e-29 of the true
+value.  For d up to 1000 that is about 10**8 times less than half a
+unit in the last place of a double of size 0.01, so the float is the
+one that 50-digit evaluation gives unless the true value lies that
+close to the midpoint of two doubles.
+
+Sign decisions that determine a typed Undefined result are made exactly
 where the expression is rational in logs of integers (an integer power
-comparison) and otherwise at 50 digits with a 1e-20 guard band; a value
-inside the band raises PrecisionError rather than guessing.  The
+comparison) and otherwise in fixed point with a 1e-20 guard band; a
+value inside the band raises PrecisionError rather than guessing.  The
 package never emits NaN: the Undefined singleton stands in for every
 "not a number" output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from functools import lru_cache
 
 from . import arith, bounds
 from .class_numbers import ClassNumberProvider
@@ -25,8 +51,118 @@ from .sym_partitions import g2
 from .torus_spectra import SpectrumProvider
 from . import messages
 
-_DPS = 50
-_GUARD = mpmath.mpf("1e-20")
+_P = 176          # fraction bits of a _Real
+_G = 32           # extra bits inside ln and the constants
+_W = _P + _G
+_GUARD = (1 << _P) // 10**20
+
+
+class _Real:
+    """The real number v / 2**_P for an int v; ints mix in exactly."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v
+
+    def __add__(self, other):
+        return _Real(self.v + _fixed(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Real(self.v - _fixed(other))
+
+    def __rsub__(self, other):
+        return _Real(_fixed(other) - self.v)
+
+    def __mul__(self, other):
+        if isinstance(other, _Real):
+            return _Real(self.v * other.v >> _P)
+        return _Real(self.v * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Real):
+            return _Real((self.v << _P) // other.v)
+        return _Real(self.v // other)
+
+    def __rtruediv__(self, other):
+        return _Real((other << 2 * _P) // self.v)
+
+    def __le__(self, other) -> bool:
+        return self.v <= _fixed(other)
+
+    def __float__(self) -> float:
+        return self.v / (1 << _P)  # int true division rounds correctly
+
+
+def _fixed(x) -> int:
+    return x.v if isinstance(x, _Real) else x << _P
+
+
+def _atanh(z: int) -> int:
+    """atanh of z / 2**_W for 0 <= z < 2**_W, at _W bits."""
+    zz = z * z >> _W
+    total = term = z
+    k = 1
+    while term:
+        term = term * zz >> _W
+        k += 2
+        total += term // k
+    return total
+
+
+def _acot(x: int) -> int:
+    """atan(1/x) for an int x >= 2, at _W bits."""
+    total = term = (1 << _W) // x
+    k, sign = 1, 1
+    while term:
+        term //= x * x
+        k += 2
+        sign = -sign
+        total += sign * (term // k)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _constants():
+    """(ln(1 + j/16) for j = 0..16 at _W bits, pi, e), made on first use."""
+    table = [2 * _atanh((j << _W) // (32 + j)) for j in range(17)]
+    term, e, k = 1 << _W, 0, 0
+    while term:
+        e += term
+        k += 1
+        term //= k
+    pi = 16 * _acot(5) - 4 * _acot(239)  # Machin
+    return table, _Real(pi >> _G), _Real(e >> _G)
+
+
+def _ln(x) -> _Real:
+    """ln of a positive int or _Real: x = 2**s * m with m in [1, 2), then
+    m = (1 + j/16) * y with j nearest and |y - 1| <= 1/32, whose atanh
+    series in z = (y - 1)/(y + 1) gains 12 bits a term."""
+    v = _fixed(x)
+    if v <= 0:
+        raise DomainError("ln needs a positive argument")
+    table = _constants()[0]
+    top = v.bit_length() - 1
+    m = v >> (top - _W) if top >= _W else v << (_W - top)
+    j = (m - (1 << _W) + (1 << (_W - 5))) >> (_W - 4)
+    c = (16 + j) << (_W - 4)
+    s = _atanh((abs(m - c) << _W) // (m + c))
+    ln_m = table[j] + 2 * (s if m >= c else -s)
+    return _Real(((top - _P) * table[16] + ln_m) >> _G)
+
+
+def _sqrt(x) -> _Real:
+    return _Real(math.isqrt(_fixed(x) << _P))
+
+
+def _power_half(n: int, k: int):
+    """n**(k/2): an exact int power, times one sqrt(n) when k is odd."""
+    return _sqrt(n) * n ** (k // 2) if k % 2 else n ** (k // 2)
 
 
 class _UndefinedType:
@@ -49,34 +185,34 @@ class _UndefinedType:
 UNDEFINED = _UndefinedType()
 
 
-def _guarded_sign(x) -> int:
-    """Sign of a 50-digit quantity, refusing to decide inside the band."""
-    if abs(x) < _GUARD:
+def _guarded_sign(x: _Real) -> int:
+    """Sign of a fixed-point quantity, refusing to decide inside the band."""
+    if abs(x.v) < _GUARD:
         raise PrecisionError("sign decision falls inside the 1e-20 guard band")
-    return 1 if x > 0 else -1
+    return 1 if x.v > 0 else -1
 
 
-def _log_q(q) -> "mpmath.mpf":
+def _log_q(q) -> _Real:
     """log q where q is an int or an exact (p, e2) meaning p**(e2/2)."""
     if isinstance(q, tuple):
         p, e2 = q
-        return mpmath.mpf(e2) / 2 * mpmath.log(p)
-    return mpmath.log(q)
+        return _ln(p) * e2 / 2
+    return _ln(q)
 
 
-def _q_value(q) -> "mpmath.mpf":
+def _q_value(q):
     if isinstance(q, tuple):
         p, e2 = q
-        return mpmath.power(p, mpmath.mpf(e2) / 2)
-    return mpmath.mpf(q)
+        return _power_half(p, e2)
+    return q
 
 
-def _log_ratio(inner, d: int, shift=0):
-    """Undefined when the 50-digit ``inner`` is negative, else
+def _log_ratio(inner: _Real, d: int, shift=0):
+    """Undefined when ``inner`` is negative, else
     (log(inner) + shift) / (log(4 d**2) + shift)."""
     if _guarded_sign(inner) < 0:
         return UNDEFINED
-    return float((mpmath.log(inner) + shift) / (mpmath.log(4 * d * d) + shift))
+    return float((_ln(inner) + shift) / (_ln(4 * d * d) + shift))
 
 
 def epsilon_omega_general2(d: int):
@@ -87,10 +223,9 @@ def epsilon_omega_general2(d: int):
         raise DomainError("d must be >= 3")
     if 2**d <= 6 * (d + 1) ** 2:
         return UNDEFINED
-    with mpmath.workdps(_DPS):
-        ln2 = mpmath.log(2)
-        inner = d - 2 * mpmath.log(d + 1) / ln2 - mpmath.log(6) / ln2
-        return _log_ratio(inner, d, mpmath.log(ln2))
+    ln2 = _ln(2)
+    inner = d - 2 * _ln(d + 1) / ln2 - _ln(6) / ln2
+    return _log_ratio(inner, d, _ln(ln2))
 
 
 def epsilon_omega_general3(d: int, q):
@@ -98,13 +233,13 @@ def epsilon_omega_general3(d: int, q):
     irrational (p, e2) pair for the Suzuki/Ree field sizes."""
     if d < 3:
         raise DomainError("d must be >= 3")
-    with mpmath.workdps(_DPS):
-        if _q_value(q) <= 2:
-            raise DomainError("q must exceed 2")
-        logq = _log_q(q)
-        inner = (d - 2 * mpmath.log(d + 1) / logq - mpmath.log(6) / logq
-                 - 1 / (mpmath.e * mpmath.log(2)))
-        return _log_ratio(inner, d)
+    if _q_value(q) <= 2:
+        raise DomainError("q must exceed 2")
+    _, _, e = _constants()
+    logq = _log_q(q)
+    inner = (d - 2 * _ln(d + 1) / logq - _ln(6) / logq
+             - 1 / (e * _ln(2)))
+    return _log_ratio(inner, d)
 
 
 def epsilon_q_classical1(d: int, kind: int):
@@ -115,30 +250,30 @@ def epsilon_q_classical1(d: int, kind: int):
         raise NotAvailable(messages.TYPE_1_2_3_OR_4)
     if d < 1:
         raise DomainError("d must be >= 1")
-    with mpmath.workdps(_DPS):
-        ln2 = mpmath.log(2)
-        ln3 = mpmath.log(3)
-        tail = mpmath.log(2 + mpmath.log(2 * d) / ln2)
-        if kind == 1:
-            inner = ((1 - ln3 / mpmath.log(4)) * d
-                     - (2 * mpmath.pi / mpmath.sqrt(3) * mpmath.sqrt(d)
-                        + 3 * mpmath.log(d + 1) + tail + mpmath.log(4)) / ln2)
-            return _log_ratio(inner, d, mpmath.log(ln2))
-        if kind == 2:
-            inner = ((1 - mpmath.log(4) / mpmath.log(9)) * d
-                     - (2 * mpmath.pi / mpmath.sqrt(3) * mpmath.sqrt(d)
-                        + 3 * mpmath.log(d + 1) + tail + mpmath.log(4)) / ln3
-                     - 1 / (mpmath.e * ln2))
-            return _log_ratio(inner, d)
-        lg2 = mpmath.log(g2(d))
-        if kind == 3:
-            inner = ((1 - mpmath.mpf("0.311") * ln3 / ln2) * d
-                     - (lg2 + 2 * ln3 + tail + ln2) / ln2)
-            return _log_ratio(inner, d, mpmath.log(ln2))
-        inner = ((1 - mpmath.log(4) / mpmath.log(27)) * d
-                 - (lg2 + 2 * mpmath.log(d + 1) + tail + ln2) / ln3
-                 - 1 / (mpmath.e * ln2))
+    _, pi, e = _constants()
+    ln2 = _ln(2)
+    ln3 = _ln(3)
+    tail = _ln(2 + _ln(2 * d) / ln2)
+    if kind == 1:
+        inner = ((1 - ln3 / _ln(4)) * d
+                 - (2 * pi / _sqrt(3) * _sqrt(d)
+                    + 3 * _ln(d + 1) + tail + _ln(4)) / ln2)
+        return _log_ratio(inner, d, _ln(ln2))
+    if kind == 2:
+        inner = ((1 - _ln(4) / _ln(9)) * d
+                 - (2 * pi / _sqrt(3) * _sqrt(d)
+                    + 3 * _ln(d + 1) + tail + _ln(4)) / ln3
+                 - 1 / (e * ln2))
         return _log_ratio(inner, d)
+    lg2 = _ln(g2(d))
+    if kind == 3:
+        inner = ((1 - _Real((311 << _P) // 1000) * ln3 / ln2) * d
+                 - (lg2 + 2 * ln3 + tail + ln2) / ln2)
+        return _log_ratio(inner, d, _ln(ln2))
+    inner = ((1 - _ln(4) / _ln(27)) * d
+             - (lg2 + 2 * _ln(d + 1) + tail + ln2) / ln3
+             - 1 / (e * ln2))
+    return _log_ratio(inner, d)
 
 
 def epsilon_q_classical2(d: int, q: int):
@@ -148,24 +283,21 @@ def epsilon_q_classical2(d: int, q: int):
         raise DomainError("d must be >= 1")
     if arith.prime_power_split(q) is None:
         raise DomainError("q must be a prime power")
-    with mpmath.workdps(_DPS):
-        log2q = mpmath.log(q) / mpmath.log(2)
-        if d == 1:
-            arg = (q + 1) / (8 * log2q * (mpmath.sqrt((q + 1) / mpmath.mpf(2))
-                                          + mpmath.sqrt((q - 1) / mpmath.mpf(2))))
-            if _guarded_sign(arg - 1) < 0:
-                return UNDEFINED
-            return float(mpmath.log(mpmath.log(arg))
-                         / mpmath.log(mpmath.log(q * (q * q - 1))))
-        c_d = 6 if d == 4 else 2
-        denominator = (2 * c_d * log2q * min(d + 1, q + 1) ** 2 * g2(d)
-                       * (1 + arith.ceil_log(2, 2 * d))
-                       * mpmath.power(q + 1, mpmath.mpf(d) / 2))
-        arg = mpmath.power(q, d) / denominator
+    log2q = _ln(q) / _ln(2)
+    if d == 1:
+        arg = (q + 1) / (8 * log2q * (_sqrt(_Real((q + 1) << _P) / 2)
+                                      + _sqrt(_Real((q - 1) << _P) / 2)))
         if _guarded_sign(arg - 1) < 0:
             return UNDEFINED
-        return float(mpmath.log(mpmath.log(arg))
-                     / mpmath.log(4 * d * d * mpmath.log(q)))
+        return float(_ln(_ln(arg)) / _ln(_ln(q * (q * q - 1))))
+    c_d = 6 if d == 4 else 2
+    denominator = (2 * c_d * log2q * min(d + 1, q + 1) ** 2 * g2(d)
+                   * (1 + arith.ceil_log(2, 2 * d))
+                   * _power_half(q + 1, d))
+    arg = q**d / denominator
+    if _guarded_sign(arg - 1) < 0:
+        return UNDEFINED
+    return float(_ln(_ln(arg)) / _ln(4 * d * d * _ln(q)))
 
 
 # ---------------------------------------------------------------------------

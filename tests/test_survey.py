@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import pytest
 
-from ordspectra import bounds, survey
+from ordspectra import arith, bounds, survey
 from ordspectra import torus_spectra as ts
 from ordspectra.class_numbers import ClassNumberProvider
-from ordspectra.errors import DataMissing, DomainError, NotAvailable
+from ordspectra.errors import (DataMissing, DomainError, NotAvailable, OrdspectraError,
+                               PrecisionError)
 from ordspectra.survey import (
     UNDEFINED,
     Q0Table,
@@ -101,6 +107,175 @@ def test_classical2_branches():
     assert abs(value - expected) < 1e-9
     with pytest.raises(DomainError):
         survey.epsilon_q_classical2(2, 6)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point kernel against mpmath: the references below are the
+# displays' expressions in mpmath at 50 digits, written out apart from
+# survey.py, guard band and domain checks included
+
+
+def _mp_log_ratio(inner, d, shift=0):
+    if abs(inner) < mpmath.mpf("1e-20"):
+        raise PrecisionError("guard band")
+    if inner < 0:
+        return UNDEFINED
+    return float((mpmath.log(inner) + shift) / (mpmath.log(4 * d * d) + shift))
+
+
+def _mp_general2(d):
+    if d < 3:
+        raise DomainError("d")
+    if 2**d <= 6 * (d + 1) ** 2:
+        return UNDEFINED
+    ln2 = mpmath.log(2)
+    inner = d - 2 * mpmath.log(d + 1) / ln2 - mpmath.log(6) / ln2
+    return _mp_log_ratio(inner, d, mpmath.log(ln2))
+
+
+def _mp_general3(d, q):
+    if d < 3:
+        raise DomainError("d")
+    if isinstance(q, tuple):
+        p, e2 = q
+        q_value, logq = mpmath.power(p, mpmath.mpf(e2) / 2), mpmath.mpf(e2) / 2 * mpmath.log(p)
+    else:
+        q_value, logq = mpmath.mpf(q), mpmath.log(q)
+    if q_value <= 2:
+        raise DomainError("q")
+    inner = (d - 2 * mpmath.log(d + 1) / logq - mpmath.log(6) / logq
+             - 1 / (mpmath.e * mpmath.log(2)))
+    return _mp_log_ratio(inner, d)
+
+
+def _mp_classical1(d, kind):
+    ln2, ln3, ln4 = mpmath.log(2), mpmath.log(3), mpmath.log(4)
+    tail = mpmath.log(2 + mpmath.log(2 * d) / ln2)
+    root = 2 * mpmath.pi / mpmath.sqrt(3) * mpmath.sqrt(d)
+    if kind == 1:
+        inner = ((1 - ln3 / ln4) * d
+                 - (root + 3 * mpmath.log(d + 1) + tail + ln4) / ln2)
+        return _mp_log_ratio(inner, d, mpmath.log(ln2))
+    if kind == 2:
+        inner = ((1 - ln4 / mpmath.log(9)) * d
+                 - (root + 3 * mpmath.log(d + 1) + tail + ln4) / ln3
+                 - 1 / (mpmath.e * ln2))
+        return _mp_log_ratio(inner, d)
+    lg2 = mpmath.log(g2(d))
+    if kind == 3:
+        inner = ((1 - mpmath.mpf("0.311") * ln3 / ln2) * d
+                 - (lg2 + 2 * ln3 + tail + ln2) / ln2)
+        return _mp_log_ratio(inner, d, mpmath.log(ln2))
+    inner = ((1 - ln4 / mpmath.log(27)) * d
+             - (lg2 + 2 * mpmath.log(d + 1) + tail + ln2) / ln3
+             - 1 / (mpmath.e * ln2))
+    return _mp_log_ratio(inner, d)
+
+
+def _mp_classical2(d, q):
+    log2q = mpmath.log(q) / mpmath.log(2)
+    if d == 1:
+        arg = (q + 1) / (8 * log2q * (mpmath.sqrt((q + 1) / mpmath.mpf(2))
+                                      + mpmath.sqrt((q - 1) / mpmath.mpf(2))))
+        if abs(arg - 1) < mpmath.mpf("1e-20"):
+            raise PrecisionError("guard band")
+        if arg < 1:
+            return UNDEFINED
+        return float(mpmath.log(mpmath.log(arg)) / mpmath.log(mpmath.log(q * (q * q - 1))))
+    c_d = 6 if d == 4 else 2
+    denominator = (2 * c_d * log2q * min(d + 1, q + 1) ** 2 * g2(d)
+                   * (1 + arith.ceil_log(2, 2 * d))
+                   * mpmath.power(q + 1, mpmath.mpf(d) / 2))
+    arg = mpmath.power(q, d) / denominator
+    if abs(arg - 1) < mpmath.mpf("1e-20"):
+        raise PrecisionError("guard band")
+    if arg < 1:
+        return UNDEFINED
+    return float(mpmath.log(mpmath.log(arg)) / mpmath.log(4 * d * d * mpmath.log(q)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OrdspectraError as exc:
+        return type(exc)
+
+
+def test_displays_equal_mpmath_at_50_digits_on_a_grid():
+    """Every display on the grid is the float that 50-digit mpmath gives,
+    Undefined on both sides, or the same error on both sides."""
+    powers = survey.prime_powers_below(300)
+    calls = [(survey.epsilon_omega_general2, _mp_general2, (d,)) for d in range(3, 400)]
+    calls += [(survey.epsilon_omega_general3, _mp_general3, (d, q))
+              for d in range(3, 60)
+              for q in powers[:40] + [(p, e2) for p in (2, 3) for e2 in (3, 5, 7, 9)]]
+    calls += [(survey.epsilon_q_classical1, _mp_classical1, (d, kind))
+              for d in range(1, 300) for kind in (1, 2, 3, 4)]
+    # every d and every q of classical2, a third of the pairs (test time)
+    calls += [(survey.epsilon_q_classical2, _mp_classical2, (d, q))
+              for d in range(1, 80) for i, q in enumerate(powers) if (d + i) % 3 == 0]
+    mismatches = []
+    with mpmath.workdps(50):
+        for ours, reference, args in calls:
+            got, want = _outcome(ours, *args), _outcome(reference, *args)
+            if got != want:
+                mismatches.append((ours.__name__, args, got, want))
+    assert mismatches == []
+    assert len(calls) == 6_409
+
+
+def _units_off(real, exact) -> int:
+    """|real - exact| in units of 2**-P, for a _Real and an mpmath value."""
+    return abs(real.v - int(mpmath.nint(exact * mpmath.mpf(2) ** survey._P)))
+
+
+def test_kernel_ln_sqrt_pi_e_within_2_to_the_8_units():
+    bound = 2**8
+    with mpmath.workdps(60):
+        for n in range(1, 2001):
+            assert _units_off(survey._ln(n), mpmath.log(n)) <= bound, n
+        for n in (g2(300), 3**500, 2**4000 + 7):
+            assert _units_off(survey._ln(n), mpmath.log(n)) <= bound
+        one = 2**survey._P
+        fractions = [(a, 10**k) for k in range(1, 19) for a in (1, 3, 7, 9)]
+        fractions += [(10**k - 1, 10**k) for k in range(1, 19)]
+        for num, den in fractions:  # num/den in (1e-19, 1), rounded to a _Real
+            v = (num << survey._P) // den
+            assert _units_off(survey._ln(survey._Real(v)), mpmath.log(mpmath.mpf(v) / one)) <= bound
+        for n in (2, 3, 5, 300, 10**6 + 1):
+            assert _units_off(survey._sqrt(n), mpmath.sqrt(n)) <= bound
+        third = survey._Real(one // 3)
+        assert _units_off(survey._sqrt(third), mpmath.sqrt(mpmath.mpf(third.v) / one)) <= bound
+        _, pi, e = survey._constants()
+        assert _units_off(pi, mpmath.pi) <= bound
+        assert _units_off(e, mpmath.e) <= bound
+
+
+def test_guard_band_refuses_inside_and_decides_outside():
+    one = 2**survey._P
+    inside = [survey._GUARD - 1, one * (10**12 - 1) // 10**32, 1, 0]
+    outside = [survey._GUARD, one * (10**12 + 1) // 10**32, one]
+    for v in inside:
+        for signed in (v, -v):
+            with pytest.raises(PrecisionError):
+                survey._guarded_sign(survey._Real(signed))
+    for v in outside:
+        assert survey._guarded_sign(survey._Real(v)) == 1
+        assert survey._guarded_sign(survey._Real(-v)) == -1
+
+
+def test_cli_loads_no_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = ("import sys\nfrom ordspectra import cli\n"
+              "code = cli.main(['survey', 'general2', '--d', '60'])\n"
+              "assert code == 0, code\n"
+              "assert 'mpmath' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0.374913064398319"
 
 
 def monster_constants():
@@ -302,7 +477,6 @@ def test_epsilon_q_searches_propagate_programming_errors(store, monkeypatch):
 
 
 def test_prime_powers_below_matches_factorization():
-    from ordspectra import arith
 
     powers = [m for m in range(2, 3001) if arith.prime_power_split(m) is not None]
     for limit in range(0, 3001):
